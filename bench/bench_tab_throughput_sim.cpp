@@ -9,6 +9,7 @@
 // its N_c block spreads the queueing over t servers, while the periodic
 // network trails (twice the depth). The diffracting tree sits between the
 // central counter and the networks (depth lg w but a serial root).
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -74,15 +75,31 @@ int main(int argc, char** argv) {
     std::vector<std::string> headers = {"n"};
     for (const auto& net : nets) headers.push_back(net.name);
     util::Table table(headers);
+    std::vector<double> at16, at256;  // per net, for the shape checks
     for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u}) {
       std::vector<std::string> row = {
           util::fmt_int(static_cast<std::int64_t>(n))};
       for (const auto& net : nets) {
-        row.push_back(util::fmt_double(run(net.topo, n).throughput, 2));
+        const double tp = run(net.topo, n).throughput;
+        if (n == 16) at16.push_back(tp);
+        if (n == 256) at256.push_back(tp);
+        row.push_back(util::fmt_double(tp, 2));
       }
       table.add_row(row);
     }
     bench::emit(table, opts);
+
+    // The expected shape below, as checks: at n = 256 the wide-output
+    // C(16,64) (last column) out-runs every other structure, and the
+    // central server (first column) is already saturated at n = 16.
+    const std::size_t wide = nets.size() - 1;
+    bool wide_wins = true;
+    for (std::size_t i = 0; i < wide; ++i) {
+      wide_wins = wide_wins && at256[wide] > at256[i];
+    }
+    bench::check("throughput_sim_wide_output_wins", wide_wins, opts);
+    bench::check("throughput_sim_central_saturates",
+                 std::abs(at256[0] - at16[0]) <= 0.05 * at16[0], opts);
   }
 
   std::puts("");

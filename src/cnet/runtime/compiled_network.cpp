@@ -1,5 +1,8 @@
 #include "cnet/runtime/compiled_network.hpp"
 
+#include <utility>
+
+#include "cnet/topology/routing.hpp"
 #include "cnet/util/ensure.hpp"
 
 namespace cnet::rt {
@@ -9,41 +12,23 @@ const char* balancer_mode_name(BalancerMode mode) noexcept {
 }
 
 CompiledNetwork::CompiledNetwork(const topo::Topology& net) {
+  topo::Routing routing = topo::compile_routing(net);
   num_nodes_ = net.num_balancers();
   width_out_ = net.width_out();
   nodes_ = std::make_unique<Node[]>(num_nodes_);
-
-  std::size_t total_ports = 0;
   for (std::uint32_t b = 0; b < num_nodes_; ++b) {
-    const auto& bal = net.balancer(topo::BalancerId{b});
-    nodes_[b].fanout = static_cast<std::uint32_t>(bal.fan_out());
-    nodes_[b].route_base = static_cast<std::uint32_t>(total_ports);
-    total_ports += bal.fan_out();
-  }
-  route_.resize(total_ports);
-
-  auto encode = [&](topo::WireId wire) -> std::int32_t {
-    const auto& end = net.consumer(wire);
-    if (end.kind == topo::WireEnd::Kind::kNetworkOutput) {
-      return ~static_cast<std::int32_t>(end.port);
-    }
-    return static_cast<std::int32_t>(end.balancer.value);
-  };
-  for (std::uint32_t b = 0; b < num_nodes_; ++b) {
-    const auto& bal = net.balancer(topo::BalancerId{b});
-    for (std::size_t port = 0; port < bal.fan_out(); ++port) {
-      const std::int32_t dest = encode(bal.outputs[port]);
+    nodes_[b].fanout = routing.fanout[b];
+    nodes_[b].route_base = routing.route_base[b];
+    for (std::uint32_t port = 0; port < routing.fanout[b]; ++port) {
+      const std::int32_t dest = routing.route[routing.route_base[b] + port];
       // Balancer creation order is topological (topology.hpp): batch
       // traversal propagates counts in index order and relies on it.
       CNET_ENSURE(dest < 0 || dest > static_cast<std::int32_t>(b),
                   "balancer indices must be topologically ordered");
-      route_[nodes_[b].route_base + port] = dest;
     }
   }
-  entry_.reserve(net.width_in());
-  for (const topo::WireId in : net.input_wires()) {
-    entry_.push_back(encode(in));
-  }
+  route_ = std::move(routing.route);
+  entry_ = std::move(routing.entry);
 }
 
 namespace {

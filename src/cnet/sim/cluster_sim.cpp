@@ -1,0 +1,513 @@
+// The cluster family: simulate_cluster (Table G′), the dist::PeerCluster
+// lease tier over per-link FIFO latency servers.
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "cnet/dist/policy.hpp"
+#include "cnet/dist/topology.hpp"
+#include "cnet/sim/multicore.hpp"
+#include "cnet/sim/vtime.hpp"
+#include "cnet/svc/policy.hpp"
+#include "cnet/util/ensure.hpp"
+#include "cnet/util/prng.hpp"
+#include "cnet/util/stats.hpp"
+
+namespace cnet::sim {
+
+using vtime::CounterModel;
+using vtime::DoneN;
+using vtime::Engine;
+
+ClusterSimConfig cluster_sim_reference_config(std::size_t nodes) {
+  ClusterSimConfig cfg;
+  CNET_REQUIRE(nodes >= 1, "need at least one node");
+  // First half of the nodes in dc 0, second half in dc 1; within a dc,
+  // adjacent node pairs share a rack — so almost every node has a
+  // rack-mate to donate to, which is the whole locality story.
+  const std::size_t per_dc = (nodes + 1) / 2;
+  cfg.nodes.resize(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    cfg.nodes[i].dc = static_cast<std::uint32_t>(i / per_dc);
+    cfg.nodes[i].rack = static_cast<std::uint32_t>((i % per_dc) / 2);
+  }
+  cfg.cores_per_node = 3;
+  cfg.ops_per_core = 160;
+  // Supply-healthy: each node's account + borrow share covers its demand,
+  // so the admission tail measures *renewal locality*, not global
+  // starvation (scarcity variants layer on top of this in bench_tab_dist).
+  cfg.parent_initial = 2048;
+  cfg.account_initial = 256;
+  cfg.borrow_budget = 2048;
+  cfg.local_initial = 64;
+  cfg.lease_chunk = 96;
+  cfg.lease_cap = 384;
+  cfg.lease_ttl = 600.0;
+  cfg.peer_reserve = 24;
+  cfg.reconcile_chunk = 192;
+  cfg.base.exponential_service = true;
+  cfg.base.seed = 0xD157C0DE;
+  return cfg;
+}
+
+ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
+                                  const ClusterSimConfig& cfg) {
+  const std::size_t n = cfg.nodes.size();
+  CNET_REQUIRE(n >= 1, "need at least one node");
+  CNET_REQUIRE(cfg.cores_per_node >= 1, "need at least one core per node");
+  CNET_REQUIRE(cfg.ops_per_core >= 1, "need at least one op per core");
+  CNET_REQUIRE(cfg.lease_chunk >= 1 && cfg.lease_cap >= 1,
+               "lease sizing must be positive");
+  CNET_REQUIRE(cfg.reconcile_chunk >= 1, "reconcile chunk must be positive");
+  CNET_REQUIRE(cfg.lease_ttl > 0.0, "lease TTL must be positive");
+  CNET_REQUIRE(cfg.link_same_rack >= 0.0 && cfg.link_same_dc >= 0.0 &&
+                   cfg.link_remote >= 0.0 && cfg.local_service >= 0.0,
+               "delays must be nonnegative");
+  for (const ClusterPartition& p : cfg.partitions) {
+    CNET_REQUIRE(p.node < n, "partition names a node outside the topology");
+    CNET_REQUIRE(p.end > p.start && p.start >= 0.0,
+                 "partition window must be a nonempty [start, end)");
+  }
+
+  std::vector<dist::NodeLocation> locs;
+  locs.reserve(n);
+  for (const ClusterNode& node : cfg.nodes) {
+    locs.push_back({node.dc, node.rack});
+  }
+  const dist::Topology topo(std::move(locs));
+
+  Engine eng;
+  util::Xoshiro256 rng(cfg.base.seed);
+  vtime::ModelStack parent_stack =
+      vtime::make_model(parent_spec, eng, cfg.base, rng);
+  CounterModel& parent = *parent_stack.root;
+
+  ClusterSimResult res;
+  res.initial_tokens =
+      cfg.parent_initial +
+      static_cast<std::uint64_t>(n) * (cfg.account_initial + cfg.local_initial);
+
+  // In leased mode the hierarchy is real: parent pool + per-node lease
+  // accounts at the coordinator, per-node local pools at the edge. In
+  // central mode every token lives in the one global pool and every
+  // admission round-trips to it — the baseline the locality claim beats.
+  if (cfg.leased) {
+    parent.inject_pool_now(cfg.parent_initial);
+  } else {
+    parent.inject_pool_now(res.initial_tokens);
+  }
+  std::vector<std::int64_t> account(
+      n, cfg.leased ? static_cast<std::int64_t>(cfg.account_initial) : 0);
+  std::vector<std::int64_t> local(
+      n, cfg.leased ? static_cast<std::int64_t>(cfg.local_initial) : 0);
+  std::vector<std::uint64_t> borrowed(n, 0);
+  const std::uint64_t borrow_limit =
+      svc::weighted_borrow_limit(cfg.borrow_budget, 1, n);
+
+  // The coordinator sits with node 0: each node owns one FIFO uplink whose
+  // one-way latency follows its proximity to node 0, and peer RPCs occupy
+  // the requester's link for the round trip. A busy link queues — which is
+  // exactly how central counting loses.
+  const auto link_of = [&](dist::Proximity p) {
+    switch (p) {
+      case dist::Proximity::kSelf:
+      case dist::Proximity::kSameRack:
+        return cfg.link_same_rack;
+      case dist::Proximity::kSameDc:
+        return cfg.link_same_dc;
+      case dist::Proximity::kRemote:
+        return cfg.link_remote;
+    }
+    return cfg.link_remote;
+  };
+  std::vector<double> link_free(n, 0.0);
+  const auto occupy = [&](std::size_t node, double service) {
+    const double start = std::max(eng.now(), link_free[node]);
+    link_free[node] = start + service;
+    return link_free[node];
+  };
+  const auto uplat = [&](std::size_t node) {
+    return link_of(topo.proximity(node, 0));
+  };
+
+  struct SimLease {
+    std::size_t tenant;  // the account its refund settles to
+    std::uint64_t from_child;
+    std::uint64_t from_parent;
+    double expiry;
+    bool settled;
+  };
+  struct NodeLedger {
+    std::deque<SimLease> leases;  // deque: stable refs across push_back
+    std::deque<dist::CarvedParts> debts;  // tenant rides in debt_tenants
+    std::deque<std::pair<std::size_t, std::uint64_t>> debt_meta;
+    std::uint64_t escrow = 0;
+    bool partitioned = false;
+  };
+  std::vector<NodeLedger> nodes(n);
+
+  std::vector<double> admit_latency;
+  admit_latency.reserve(static_cast<std::size_t>(cfg.ops_per_core) *
+                        cfg.cores_per_node * n);
+  double makespan = 0.0;
+  const auto touch = [&] { makespan = std::max(makespan, eng.now()); };
+  vtime::ServiceDraw local_draw(cfg.local_service,
+                                cfg.base.exponential_service, rng);
+
+  // One expiry/debt refund landing at the coordinator: the exact
+  // lease_expiry_refund split the live ledger applies via settle_spent —
+  // child part to the lease account, parent part home to the pool, the
+  // whole borrow headroom freed.
+  const auto apply_refund = [&](std::size_t tenant, std::uint64_t from_child,
+                                std::uint64_t from_parent,
+                                std::uint64_t recovered, bool is_debt) {
+    const dist::ExpiryRefund split =
+        dist::lease_expiry_refund(from_child, from_parent, recovered);
+    account[tenant] += static_cast<std::int64_t>(split.refund_child);
+    if (from_parent > 0) borrowed[tenant] -= from_parent;
+    res.expiry_refunded += recovered;
+    if (is_debt) res.debt_reconciled += recovered;
+    touch();
+    if (split.refund_parent > 0) {
+      parent.refund_n(tenant, split.refund_parent, [&] { touch(); });
+    }
+  };
+
+  // Lease expiry: events re-arm while renewals keep extending the expiry
+  // field (the heartbeat), and settle exactly once via the settled flag —
+  // same shape as the live ledger's expiry-vs-renewal race rule.
+  std::function<void(std::size_t, SimLease*)> arm_expiry =
+      [&](std::size_t node, SimLease* lease) {
+        eng.at(lease->expiry, [&, node, lease] {
+          if (lease->settled) return;
+          if (lease->expiry > eng.now()) {
+            arm_expiry(node, lease);  // renewed since; chase the new TTL
+            return;
+          }
+          lease->settled = true;
+          NodeLedger& ledger = nodes[node];
+          const std::uint64_t tokens = lease->from_child + lease->from_parent;
+          const auto avail = static_cast<std::uint64_t>(
+              std::max<std::int64_t>(local[node], 0));
+          const std::uint64_t recovered = std::min(tokens, avail);
+          local[node] -= static_cast<std::int64_t>(recovered);
+          ++res.expiries;
+          res.expiry_recovered += recovered;
+          touch();
+          if (ledger.partitioned) {
+            ledger.debts.push_back({lease->from_child, lease->from_parent});
+            ledger.debt_meta.push_back({lease->tenant, recovered});
+            ledger.escrow += recovered;
+            res.debt_created += recovered;
+            return;
+          }
+          const std::size_t tenant = lease->tenant;
+          const std::uint64_t fc = lease->from_child;
+          const std::uint64_t fp = lease->from_parent;
+          eng.at(occupy(node, uplat(node)), [&, tenant, fc, fp, recovered] {
+            apply_refund(tenant, fc, fp, recovered, /*is_debt=*/false);
+          });
+        });
+      };
+
+  const auto add_lease = [&](std::size_t node, std::size_t tenant,
+                             std::uint64_t from_child,
+                             std::uint64_t from_parent) {
+    NodeLedger& ledger = nodes[node];
+    ledger.leases.push_back({tenant, from_child, from_parent,
+                             eng.now() + cfg.lease_ttl, false});
+    arm_expiry(node, &ledger.leases.back());
+  };
+
+  // Lease renewal: heartbeat, then nearest-donor walk, then the global
+  // two-level acquire — every decision through the shared dist/policy.hpp
+  // and svc/policy.hpp rules. Donations and the global grant travel as
+  // messages; `done(gained)` fires once the last of them lands.
+  struct RenewOp {
+    std::uint64_t gained = 0;
+    int pending = 0;
+    bool issued = false;
+    DoneN done;
+  };
+  const auto renew_finish = [](const std::shared_ptr<RenewOp>& op) {
+    if (op->issued && op->pending == 0) op->done(op->gained);
+  };
+  const auto renew = [&](std::size_t node, std::uint64_t want, DoneN done) {
+    NodeLedger& ledger = nodes[node];
+    if (ledger.partitioned) {
+      done(0);
+      return;
+    }
+    for (SimLease& lease : ledger.leases) {
+      if (!lease.settled) {
+        lease.expiry = std::max(lease.expiry, eng.now() + cfg.lease_ttl);
+      }
+    }
+    auto op = std::make_shared<RenewOp>();
+    op->done = std::move(done);
+    std::uint64_t need = dist::lease_grant(want, cfg.lease_chunk,
+                                           cfg.lease_cap);
+
+    for (std::size_t attempt = 0; need > 0; ++attempt) {
+      const std::optional<std::size_t> target =
+          dist::renewal_target(topo, node, attempt);
+      if (!target.has_value()) break;
+      const std::size_t donor = *target;
+      NodeLedger& from = nodes[donor];
+      if (from.partitioned) continue;
+      std::uint64_t leased_active = 0;
+      for (const SimLease& lease : from.leases) {
+        if (!lease.settled) {
+          leased_active += lease.from_child + lease.from_parent;
+        }
+      }
+      const auto balance = static_cast<std::uint64_t>(
+          std::max<std::int64_t>(local[donor], 0));
+      const std::uint64_t give =
+          std::min({need, dist::peer_surplus(balance, cfg.peer_reserve),
+                    leased_active});
+      if (give == 0) continue;
+      local[donor] -= static_cast<std::int64_t>(give);
+      // Carve the donor's newest active leases, child parts first; the
+      // transferred lease keeps the donor's tenant so its refund settles
+      // to the account that granted it.
+      auto carved = std::make_shared<
+          std::vector<std::pair<std::size_t, dist::CarvedParts>>>();
+      std::uint64_t remaining = give;
+      for (auto it = from.leases.rbegin();
+           it != from.leases.rend() && remaining > 0; ++it) {
+        if (it->settled) continue;
+        const dist::CarvedParts parts =
+            dist::lease_carve(remaining, it->from_child, it->from_parent);
+        if (parts.tokens() == 0) continue;
+        it->from_child -= parts.from_child;
+        it->from_parent -= parts.from_parent;
+        if (it->from_child + it->from_parent == 0) it->settled = true;
+        carved->push_back({it->tenant, parts});
+        remaining -= parts.tokens();
+      }
+      CNET_ENSURE(remaining == 0,
+                  "donated tokens exceeded donor lease parts");
+      ++res.donations;
+      res.donated_tokens += give;
+      need -= give;
+      ++op->pending;
+      const double rtt = 2.0 * link_of(topo.proximity(node, donor));
+      eng.at(occupy(node, rtt), [&, node, give, carved, op] {
+        for (const auto& [tenant, parts] : *carved) {
+          add_lease(node, tenant, parts.from_child, parts.from_parent);
+        }
+        local[node] += static_cast<std::int64_t>(give);
+        op->gained += give;
+        --op->pending;
+        touch();
+        renew_finish(op);
+      });
+    }
+
+    if (need > 0) {
+      const std::uint64_t ask = need;
+      ++op->pending;
+      eng.at(occupy(node, uplat(node)), [&, node, ask, op] {
+        if (nodes[node].partitioned) {
+          // Partition cut the request mid-flight: the coordinator drops
+          // it, so the partitioned node gets (and spends) nothing global.
+          --op->pending;
+          renew_finish(op);
+          return;
+        }
+        const auto avail = static_cast<std::uint64_t>(
+            std::max<std::int64_t>(account[node], 0));
+        const std::uint64_t got_child = std::min(ask, avail);
+        account[node] -= static_cast<std::int64_t>(got_child);
+        const std::uint64_t shortfall = ask - got_child;
+        const std::uint64_t reserved =
+            svc::borrow_allowance(shortfall, borrowed[node], borrow_limit);
+        borrowed[node] += reserved;
+        const auto granted = [&, node, ask, op](std::uint64_t got_child2,
+                                                std::uint64_t got_parent,
+                                                std::uint64_t reserved2) {
+          borrowed[node] -= reserved2 - got_parent;
+          const svc::QuotaSettlement s = svc::quota_settle(
+              ask, got_child2, got_parent, svc::kPartialOk);
+          CNET_ENSURE(s.refund_child == 0 && s.refund_parent == 0,
+                      "partial-ok settle refunded");
+          const std::uint64_t total = got_child2 + got_parent;
+          eng.at(eng.now() + uplat(node), [&, node, got_child2, got_parent,
+                                           total, op] {
+            if (total > 0) {
+              add_lease(node, node, got_child2, got_parent);
+              local[node] += static_cast<std::int64_t>(total);
+              ++res.renewals;
+              res.renewal_tokens += total;
+            }
+            op->gained += total;
+            --op->pending;
+            touch();
+            renew_finish(op);
+          });
+        };
+        if (reserved > 0) {
+          parent.try_decrement_n(
+              node, reserved,
+              [&, node, got_child, reserved, granted](std::uint64_t got) {
+                granted(got_child, got, reserved);
+              });
+        } else {
+          granted(got_child, 0, 0);
+        }
+      });
+    }
+    op->issued = true;
+    renew_finish(op);
+  };
+
+  // Healed partitions replay their escrow in debt_reconcile-bounded
+  // batches, one uplink round trip per batch.
+  std::function<void(std::size_t)> reconcile = [&](std::size_t node) {
+    NodeLedger& ledger = nodes[node];
+    if (ledger.debts.empty()) {
+      CNET_ENSURE(ledger.escrow == 0, "debt escrow left after reconcile");
+      return;
+    }
+    const std::uint64_t budget =
+        dist::debt_reconcile(ledger.escrow, cfg.reconcile_chunk);
+    auto batch = std::make_shared<std::vector<
+        std::tuple<std::size_t, std::uint64_t, std::uint64_t,
+                   std::uint64_t>>>();
+    std::uint64_t settled = 0;
+    while (!ledger.debts.empty() && (settled < budget || budget == 0)) {
+      const dist::CarvedParts parts = ledger.debts.front();
+      const auto [tenant, recovered] = ledger.debt_meta.front();
+      ledger.debts.pop_front();
+      ledger.debt_meta.pop_front();
+      batch->push_back({tenant, parts.from_child, parts.from_parent,
+                        recovered});
+      settled += recovered;
+      if (budget == 0) break;  // zero-recovery entries still settle
+    }
+    ledger.escrow -= settled;
+    eng.at(occupy(node, uplat(node)), [&, node, batch] {
+      for (const auto& [tenant, fc, fp, recovered] : *batch) {
+        apply_refund(tenant, fc, fp, recovered, /*is_debt=*/true);
+      }
+      eng.at(eng.now() + uplat(node), [&, node] { reconcile(node); });
+    });
+  };
+
+  for (const ClusterPartition& p : cfg.partitions) {
+    eng.at(p.start, [&, p] { nodes[p.node].partitioned = true; });
+    eng.at(p.end, [&, p] {
+      nodes[p.node].partitioned = false;
+      touch();
+      reconcile(p.node);
+    });
+  }
+
+  // The workload: every node core runs a closed admit(1) loop. Leased
+  // mode spends locally and renews on a miss (one retry); central mode
+  // round-trips the uplink for every single admission.
+  struct CoreState {
+    std::size_t ops_done = 0;
+  };
+  const std::size_t total_cores = n * cfg.cores_per_node;
+  std::vector<CoreState> cores(total_cores);
+  std::function<void(std::size_t)> step;
+  const auto finish_op = [&](std::size_t c, bool ok, double issue) {
+    if (ok) {
+      ++res.admitted;
+      ++res.spent;
+      admit_latency.push_back(eng.now() - issue);
+    } else {
+      ++res.rejected;
+    }
+    ++cores[c].ops_done;
+    touch();
+    eng.at(eng.now() + cfg.think_time, [&, c] { step(c); });
+  };
+
+  std::function<void(std::size_t, std::size_t, double, bool)> attempt =
+      [&](std::size_t c, std::size_t node, double issue, bool retried) {
+        if (local[node] >= 1) {
+          local[node] -= 1;
+          eng.at(eng.now() + local_draw(),
+                 [&, c, issue] { finish_op(c, true, issue); });
+          return;
+        }
+        if (!retried) {
+          renew(node, cfg.lease_chunk, [&, c, node, issue](std::uint64_t) {
+            attempt(c, node, issue, true);
+          });
+          return;
+        }
+        finish_op(c, false, issue);
+      };
+
+  step = [&](std::size_t c) {
+    if (cores[c].ops_done == cfg.ops_per_core) return;
+    const std::size_t node = c / cfg.cores_per_node;
+    const double issue = eng.now();
+    ++res.attempts;
+    if (cfg.leased) {
+      attempt(c, node, issue, false);
+      return;
+    }
+    if (nodes[node].partitioned) {
+      // Central counting has no local pool to fall back on: a partitioned
+      // node admits nothing (and, crucially, touches nothing global).
+      finish_op(c, false, issue);
+      return;
+    }
+    eng.at(occupy(node, uplat(node)), [&, c, node, issue] {
+      if (nodes[node].partitioned) {
+        ++res.partition_global_touches;
+      }
+      parent.try_decrement_n(c, 1, [&, c, node, issue](std::uint64_t got) {
+        eng.at(eng.now() + uplat(node),
+               [&, c, issue, got] { finish_op(c, got == 1, issue); });
+      });
+    });
+  };
+
+  for (std::size_t c = 0; c < total_cores; ++c) step(c);
+  eng.run();
+
+  res.makespan = makespan;
+  res.final_parent_pool = parent.pool();
+  res.parent_stalls = parent.stalls();
+  bool conserved = !parent.pool_ever_negative();
+  std::int64_t held = res.final_parent_pool;
+  for (std::size_t i = 0; i < n; ++i) {
+    res.final_account_tokens += account[i];
+    res.final_local_tokens += local[i];
+    held += account[i] + local[i];
+    conserved = conserved && account[i] >= 0 && local[i] >= 0 &&
+                borrowed[i] == 0 && nodes[i].escrow == 0 &&
+                nodes[i].debts.empty();
+    for (const SimLease& lease : nodes[i].leases) {
+      conserved = conserved && lease.settled;
+    }
+  }
+  res.conserved =
+      conserved &&
+      res.spent + static_cast<std::uint64_t>(held) == res.initial_tokens;
+  res.debt_settled = res.debt_created == res.debt_reconciled;
+
+  if (!admit_latency.empty()) {
+    res.p50_admission = util::percentile(admit_latency, 50.0);
+    res.p99_admission = util::percentile(admit_latency, 99.0);
+  }
+
+  for (const CoreState& core : cores) {
+    CNET_ENSURE(core.ops_done == cfg.ops_per_core,
+                "simulated core finished early");
+  }
+  return res;
+}
+
+}  // namespace cnet::sim

@@ -4,8 +4,12 @@
 // paper's central-vs-network scaling claims — and PR 3's adaptive switch
 // and elimination hit-rates — become deterministic, CI-checkable numbers on
 // a 1-vCPU box. Same methodology as the simulation side of the study the
-// paper cites ([19,20]) and as sim::simulate_timed, extended from bare
-// token traversals up to the composed service stack.
+// paper cites ([19,20]), extended from bare token traversals up to the
+// composed service stack. The models and the event executor live in
+// sim/vtime.hpp, shared by every simulator here and by sim::simulate_timed;
+// the entry points below are split by family into bucket_sim.cpp
+// (multicore, reconfig), quota_sim.cpp (quota, overload) and
+// cluster_sim.cpp.
 //
 // Model inventory (each is the virtual-time mirror of a real component,
 // sharing its decision logic through svc/policy.hpp rather than
@@ -13,9 +17,10 @@
 //   - central atomic word  -> one FIFO server whose service time grows with
 //     the number of requests already queued (cache-line ownership
 //     migration: every extra sharer lengthens the RMW);
-//   - counting network     -> simulate_timed's per-balancer FIFO servers
-//     over the real topo::Topology, tokens and antitokens traversing wires
-//     with delay; the batched backend carries up to batch_k tokens per
+//   - counting network     -> per-balancer FIFO servers over the real
+//     C(width_in, width_out) routing table (the same servers
+//     simulate_timed runs), tokens and antitokens traversing wires with
+//     delay; the batched backend carries up to batch_k tokens per
 //     traversal;
 //   - EliminationLayer     -> exchange slots in virtual time: a depositing
 //     op waits elim_wait before withdrawing, an opposite-role arrival
@@ -40,13 +45,11 @@
 
 namespace cnet::sim {
 
-struct MulticoreConfig {
-  std::size_t cores = 8;            // P simulated cores
-  std::size_t ops_per_core = 4096;  // consume(1) ops each core performs
-  std::size_t refill_every = 256;   // bulk refill cadence (tokens per refill)
-  std::uint64_t initial_tokens_per_core = 256;
-  double think_time = 0.2;  // virtual pause between a core's ops
-
+// The model knobs every simulator below shares: server service times and
+// slopes, the network's shape and batch size, the elimination windows, the
+// adaptive tuning, the service-time distribution and the seed. Workload
+// shape (cores, op counts, pools) lives in each simulator's own config.
+struct ModelConfig {
   // Central-word model parameters, per backend kind. service is the
   // uncontended RMW time; slope is the extra fraction per request already
   // queued on the line (atomic: coherence migration only; CAS: failed
@@ -58,7 +61,9 @@ struct MulticoreConfig {
   double mutex_slope = 0.10;
 
   // Network model: per-balancer service time and wire delay, applied to the
-  // real C(width_in, width_out) topology from `net`.
+  // real C(width_in, width_out) topology behind the network-backed kinds.
+  std::size_t width_in = 8;
+  std::size_t width_out = 24;
   double balancer_service = 1.0;
   double wire_delay = 0.2;
   std::size_t batch_k = 64;  // tokens per batched-network traversal
@@ -78,11 +83,17 @@ struct MulticoreConfig {
                              /*min_window_ops=*/512,
                              /*stall_rate_threshold=*/0.05};
 
-  // Shape of the counting network behind the network-backed kinds.
-  svc::BackendConfig net;
-
   bool exponential_service = false;  // exp-distributed service draws
   std::uint64_t seed = 1998;
+};
+
+// The Table B workload on top of the model knobs.
+struct MulticoreConfig : ModelConfig {
+  std::size_t cores = 8;            // P simulated cores
+  std::size_t ops_per_core = 4096;  // consume(1) ops each core performs
+  std::size_t refill_every = 256;   // bulk refill cadence (tokens per refill)
+  std::uint64_t initial_tokens_per_core = 256;
+  double think_time = 0.2;  // virtual pause between a core's ops
 };
 
 struct MulticoreResult {
@@ -129,10 +140,7 @@ MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
 // continuation-passing form, and releases return each grant part to the
 // level it came from through the models' probe-invisible refund path.
 struct QuotaSimConfig {
-  // Engine/model knobs (service times, slopes, network shape, adaptive
-  // tuning, exponential draws, seed). base.cores / ops_per_core /
-  // refill_every / initial_tokens_per_core are ignored here.
-  MulticoreConfig base;
+  ModelConfig base;
 
   std::size_t cores = 16;
   std::size_t tenants = 4;
@@ -200,9 +208,10 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 // --------------------------------------------------------------- overload
 
 // The svc::OverloadManager control loop in virtual time (Table E′'s model
-// counterpart): the quota workload above, but cores enter staggered — core
-// c starts at c * core_start_stagger — so offered load ramps up past
-// saturation and back down as cores finish. A periodic sampler event plays
+// counterpart): the quota workload above, run by the same acquire/settle/
+// release code, but cores enter staggered — core c starts at
+// c * core_start_stagger — so offered load ramps up past saturation and
+// back down as cores finish. A periodic sampler event plays
 // the manager: it reads the same three signals the real monitors read
 // (parent-pool stall rate over a window, reject ratio over a window, peak
 // borrow occupancy), runs them through the *same* pure rules
@@ -224,34 +233,25 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 // Everything is deterministic given the seed; the tier-transition instants
 // are part of the result so tests can pin them golden.
 struct OverloadSimConfig {
-  // Engine/model knobs (service times, slopes, network shape, adaptive
-  // tuning, exponential draws, seed); base.cores / ops_per_core /
-  // refill_every / initial_tokens_per_core are ignored here.
-  MulticoreConfig base;
-
-  std::size_t cores = 48;
-  std::size_t tenants = 8;
-  std::size_t hot_tenants = 1;
-  double hot_core_share = 0.75;
-  std::size_t ops_per_core = 192;   // acquire attempts per core
-  double core_start_stagger = 24.0; // core c enters at c * stagger
-
-  // Unlike QuotaSimConfig, the borrow budget deliberately *oversubscribes*
-  // the parent (sum of limits > parent_initial): overload is exactly the
-  // regime where admission promises exceed the shared pool, which is what
-  // lets the parent run dry and the degrade-partial tier produce genuinely
-  // short grants. The odd initial counts against the even acquire_cost
-  // leave a 1-token residue when a pool drains, so bounded claims really
-  // do come up short instead of alternating full/empty forever.
-  std::uint64_t acquire_cost = 2;
-  std::uint64_t child_initial = 3;
-  std::uint64_t parent_initial = 47;
-  std::uint64_t borrow_budget = 64;
-  std::uint64_t hot_weight = 8;
-  std::uint64_t cold_weight = 1;
-
-  double hold_time = 6.0;
-  double think_time = 0.2;
+  // The quota workload the manager controls (its `base` carries the model
+  // knobs). Unlike QuotaSimConfig's default, the borrow budget deliberately
+  // *oversubscribes* the parent (sum of limits > parent_initial): overload
+  // is exactly the regime where admission promises exceed the shared pool,
+  // which is what lets the parent run dry and the degrade-partial tier
+  // produce genuinely short grants. The odd initial counts against the
+  // even acquire_cost leave a 1-token residue when a pool drains, so
+  // bounded claims really do come up short instead of alternating
+  // full/empty forever.
+  QuotaSimConfig quota{.base = {},
+                       .cores = 48,
+                       .tenants = 8,
+                       .ops_per_core = 192,
+                       .acquire_cost = 2,
+                       .child_initial = 3,
+                       .parent_initial = 47,
+                       .borrow_budget = 64,
+                       .hold_time = 6.0};
+  double core_start_stagger = 24.0;  // core c enters at c * stagger
 
   // Manager loop: sample cadence in virtual time, the stall-rate reading
   // that maps to pressure 1.0, and how many post-drain samples the sampler
@@ -302,7 +302,7 @@ struct OverloadSimResult {
   bool recovered = false;
 };
 
-// Deterministic from (parent_spec, cfg, cfg.base.seed), like
+// Deterministic from (parent_spec, cfg, cfg.quota.base.seed), like
 // simulate_quota.
 OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
                                     const OverloadSimConfig& cfg);
@@ -429,10 +429,7 @@ struct ClusterPartition {
 };
 
 struct ClusterSimConfig {
-  // Engine/model knobs (service times, slopes, network shape, exponential
-  // draws, seed); base.cores / ops_per_core / refill_every /
-  // initial_tokens_per_core are ignored here.
-  MulticoreConfig base;
+  ModelConfig base;
 
   std::vector<ClusterNode> nodes;  // the static dc/rack topology
   std::size_t cores_per_node = 4;

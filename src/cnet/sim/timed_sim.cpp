@@ -1,44 +1,13 @@
 #include "cnet/sim/timed_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 #include <functional>
-#include <queue>
-#include <vector>
 
+#include "cnet/sim/vtime.hpp"
 #include "cnet/util/ensure.hpp"
 #include "cnet/util/prng.hpp"
 
 namespace cnet::sim {
-
-namespace {
-
-struct Target {
-  bool is_output = false;
-  std::uint32_t index = 0;
-};
-
-struct TokenState {
-  double inject_time = 0.0;
-  double queue_wait = 0.0;
-};
-
-// Event kinds: a token arriving at a balancer (or exiting), and a balancer
-// finishing a service.
-struct Event {
-  double time = 0.0;
-  std::uint64_t order = 0;  // tie-break for determinism
-  enum class Kind : std::uint8_t { kArrival, kCompletion } kind;
-  std::uint32_t token = 0;
-  std::uint32_t place = 0;  // balancer for both kinds
-  bool operator>(const Event& other) const {
-    if (time != other.time) return time > other.time;
-    return order > other.order;
-  }
-};
-
-}  // namespace
 
 TimedResult simulate_timed(const topo::Topology& net,
                            const TimedConfig& cfg) {
@@ -48,150 +17,46 @@ TimedResult simulate_timed(const topo::Topology& net,
   CNET_REQUIRE(cfg.wire_delay >= 0.0 && cfg.think_time >= 0.0,
                "delays must be nonnegative");
 
+  // The balancers are the svc simulators' per-balancer FIFO servers
+  // (vtime::NetworkModel); this driver only closes the loop around them.
+  vtime::Engine eng;
   util::Xoshiro256 rng(cfg.seed);
-  auto service = [&]() {
-    if (!cfg.exponential_service) return cfg.service_time;
-    return -cfg.service_time * std::log1p(-rng.uniform01());
-  };
-
-  // Compile routing (same encoding as the token simulator).
-  const std::size_t nb = net.num_balancers();
-  std::vector<std::uint32_t> fanout(nb), state(nb, 0), route_base(nb);
-  std::vector<Target> route;
-  std::vector<Target> entry;
-  {
-    std::size_t total_ports = 0;
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net.balancer(topo::BalancerId{b});
-      fanout[b] = static_cast<std::uint32_t>(bal.fan_out());
-      route_base[b] = static_cast<std::uint32_t>(total_ports);
-      total_ports += bal.fan_out();
-    }
-    route.resize(total_ports);
-    auto target_of = [&](topo::WireId wire) {
-      const auto& end = net.consumer(wire);
-      if (end.kind == topo::WireEnd::Kind::kNetworkOutput) {
-        return Target{true, end.port};
-      }
-      return Target{false, end.balancer.value};
-    };
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      const auto& bal = net.balancer(topo::BalancerId{b});
-      for (std::size_t port = 0; port < bal.fan_out(); ++port) {
-        route[route_base[b] + port] = target_of(bal.outputs[port]);
-      }
-    }
-    entry.reserve(net.width_in());
-    for (const topo::WireId in : net.input_wires()) {
-      entry.push_back(target_of(in));
-    }
-  }
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::uint64_t order = 0;
-  std::vector<std::deque<std::uint32_t>> queue(nb);
-  std::vector<bool> busy(nb, false);
-  std::vector<double> queue_entry_time(cfg.total_tokens, 0.0);
-  std::vector<TokenState> tokens(cfg.total_tokens);
+  vtime::NetworkModel servers(
+      eng, net, cfg.wire_delay, /*batch_k=*/1,
+      vtime::ServiceDraw(cfg.service_time, cfg.exponential_service, rng));
 
   TimedResult res;
   std::size_t injected = 0;
-  std::size_t exited = 0;
   double latency_sum = 0.0, wait_sum = 0.0;
 
-  auto push = [&](Event e) {
-    e.order = order++;
-    events.push(e);
+  // Process `proc` injects a token on its input wire; when the token exits,
+  // the process owning the next token injects it think_time later.
+  std::function<void(std::size_t)> inject = [&](std::size_t proc) {
+    const double start = eng.now();
+    servers.traverse(proc, [&, start](double queue_wait) {
+      const double latency = eng.now() - start;
+      latency_sum += latency;
+      wait_sum += queue_wait;
+      res.max_latency = std::max(res.max_latency, latency);
+      res.makespan = std::max(res.makespan, eng.now());
+      if (injected == cfg.total_tokens) return;
+      const std::size_t next_proc = injected++ % cfg.concurrency;
+      eng.at(eng.now() + cfg.think_time,
+             [&, next_proc] { inject(next_proc); });
+    });
   };
 
-  // Targets are packed into Event::place: balancer index, or ~output_index
-  // for a direct exit.
-  auto pack = [](const Target& t) {
-    return t.is_output ? ~t.index : t.index;
-  };
-
-  std::function<void(std::uint32_t, const Target&, double)> arrive_fn =
-      [&](std::uint32_t token, const Target& target, double now) {
-        if (target.is_output) {
-          const double latency = now - tokens[token].inject_time;
-          latency_sum += latency;
-          wait_sum += tokens[token].queue_wait;
-          res.max_latency = std::max(res.max_latency, latency);
-          res.makespan = std::max(res.makespan, now);
-          ++exited;
-          // Closed loop: the owning process injects its next token.
-          if (injected < cfg.total_tokens) {
-            const auto next = static_cast<std::uint32_t>(injected++);
-            const auto proc = next % cfg.concurrency;
-            tokens[next].inject_time = now + cfg.think_time;
-            const Target& e = entry[proc % net.width_in()];
-            push(Event{now + cfg.think_time, 0, Event::Kind::kArrival, next,
-                       pack(e)});
-          }
-          return;
-        }
-        const std::uint32_t b = target.index;
-        if (busy[b]) {
-          queue[b].push_back(token);
-          queue_entry_time[token] = now;
-        } else {
-          busy[b] = true;
-          push(Event{now + service(), 0, Event::Kind::kCompletion, token, b});
-        }
-      };
-
-  // Seed the first wave.
-  const std::size_t first_wave =
-      std::min(cfg.concurrency, cfg.total_tokens);
-  for (std::uint32_t p = 0; p < first_wave; ++p) {
-    const auto token = static_cast<std::uint32_t>(injected++);
-    tokens[token].inject_time = 0.0;
-    push(Event{0.0, 0, Event::Kind::kArrival, token,
-               pack(entry[p % net.width_in()])});
+  const std::size_t first_wave = std::min(cfg.concurrency, cfg.total_tokens);
+  for (std::size_t p = 0; p < first_wave; ++p) {
+    ++injected;
+    inject(p);
   }
-
-  while (exited < cfg.total_tokens) {
-    CNET_ENSURE(!events.empty(), "event queue drained early");
-    const Event ev = events.top();
-    events.pop();
-    if (ev.kind == Event::Kind::kArrival) {
-      // `place` may encode a direct-to-output wire as ~output_index.
-      if (static_cast<std::int32_t>(ev.place) < 0) {
-        arrive_fn(ev.token, Target{true, ~ev.place}, ev.time);
-      } else {
-        arrive_fn(ev.token, Target{false, ev.place}, ev.time);
-      }
-    } else {
-      const std::uint32_t b = ev.place;
-      // The served token advances through the balancer.
-      const std::uint32_t port = state[b];
-      state[b] = (state[b] + 1) % fanout[b];
-      const Target& next = route[route_base[b] + port];
-      if (next.is_output) {
-        arrive_fn(ev.token, next, ev.time + cfg.wire_delay);
-      } else {
-        push(Event{ev.time + cfg.wire_delay, 0, Event::Kind::kArrival,
-                   ev.token, next.index});
-      }
-      // Start the next waiting token, if any.
-      if (queue[b].empty()) {
-        busy[b] = false;
-      } else {
-        const std::uint32_t waiting = queue[b].front();
-        queue[b].pop_front();
-        tokens[waiting].queue_wait += ev.time - queue_entry_time[waiting];
-        push(Event{ev.time + service(), 0, Event::Kind::kCompletion,
-                   waiting, b});
-      }
-    }
-  }
+  eng.run();
 
   res.throughput = static_cast<double>(cfg.total_tokens) /
                    std::max(res.makespan, 1e-12);
-  res.mean_latency =
-      latency_sum / static_cast<double>(cfg.total_tokens);
-  res.mean_queue_wait =
-      wait_sum / static_cast<double>(cfg.total_tokens);
+  res.mean_latency = latency_sum / static_cast<double>(cfg.total_tokens);
+  res.mean_queue_wait = wait_sum / static_cast<double>(cfg.total_tokens);
   return res;
 }
 

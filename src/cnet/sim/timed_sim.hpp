@@ -10,7 +10,8 @@
 // sustained throughput: widening the N_c block of C(w,t) adds servers
 // exactly where tokens spend most of their time, which is the mechanism
 // behind the paper's §1.3.2 intuition and the crossover measured in the
-// cited experiments.
+// cited experiments. The balancer servers are the same per-balancer FIFO
+// servers the virtual-time svc simulators run (sim/vtime.hpp).
 #pragma once
 
 #include <cstdint>

@@ -74,11 +74,6 @@ class NetTokenBucket : public Reconfigurable {
   // read as a rejection (the bucket_consume plan pins the same contract).
   std::uint64_t consume(std::size_t thread_hint, std::uint64_t tokens,
                         ConsumeOptions opts = kAllOrNothing);
-  [[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-  std::uint64_t consume(std::size_t thread_hint, std::uint64_t tokens,
-                        bool allow_partial) {
-    return consume(thread_hint, tokens, ConsumeOptions{allow_partial});
-  }
 
   // Adds `tokens` to the pool via the backend's batched increment path.
   void refill(std::size_t thread_hint, std::uint64_t tokens);

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace cnet::svc {
@@ -107,18 +106,9 @@ std::uint64_t bucket_consume(std::uint64_t tokens, ConsumeOptions opts,
   return got;
 }
 
-template <class TakeN, class PutN>
-[[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-std::uint64_t bucket_consume(std::uint64_t tokens, bool allow_partial,
-                             TakeN&& take_n, PutN&& put_n) {
-  return bucket_consume(tokens, ConsumeOptions{allow_partial},
-                        std::forward<TakeN>(take_n),
-                        std::forward<PutN>(put_n));
-}
-
 // ---------------------------------------------------------------------------
 // Quota-hierarchy decision rules (svc::QuotaHierarchy and the simulator's
-// quota model share these; see sim/multicore.cpp, which drives the same
+// quota model share these; see sim/quota_sim.cpp, which drives the same
 // rules in continuation-passing form).
 
 // A tenant's parent-borrow cap under the weighted max-borrow policy: its
@@ -169,15 +159,6 @@ constexpr QuotaSettlement quota_settle(std::uint64_t tokens,
   if (from_child + from_parent == tokens) return {true, 0, 0};
   if (opts.partial_ok && from_child + from_parent > 0) return {true, 0, 0};
   return {false, from_child, from_parent};
-}
-
-[[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-constexpr QuotaSettlement quota_settle(std::uint64_t tokens,
-                                       std::uint64_t from_child,
-                                       std::uint64_t from_parent,
-                                       bool allow_partial) noexcept {
-  return quota_settle(tokens, from_child, from_parent,
-                      ConsumeOptions{allow_partial});
 }
 
 // Composition of a successful (or rejected) two-level acquire.
@@ -250,22 +231,6 @@ QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
   if (settle.refund_child > 0) put_child(settle.refund_child);
   if (reserved > 0) unreserve(reserved);
   return plan;
-}
-
-template <class TakeChild, class Reserve, class Unreserve, class TakeParent,
-          class PutChild, class PutParent>
-[[deprecated("pass svc::ConsumeOptions (kPartialOk / kAllOrNothing)")]]
-QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
-                             Reserve&& reserve, Unreserve&& unreserve,
-                             TakeParent&& take_parent, PutChild&& put_child,
-                             PutParent&& put_parent, bool allow_partial) {
-  return quota_acquire(tokens, std::forward<TakeChild>(take_child),
-                       std::forward<Reserve>(reserve),
-                       std::forward<Unreserve>(unreserve),
-                       std::forward<TakeParent>(take_parent),
-                       std::forward<PutChild>(put_child),
-                       std::forward<PutParent>(put_parent),
-                       ConsumeOptions{allow_partial});
 }
 
 // ---------------------------------------------------------------------------

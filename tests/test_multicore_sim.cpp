@@ -59,6 +59,23 @@ TEST(MulticoreSim, SeedChangesTheExponentialDraws) {
   EXPECT_NE(a.makespan, b.makespan);
 }
 
+TEST(MulticoreSim, GoldenSeedBatchedNetworkCell) {
+  // One Table B' cell pinned golden: the bucket loop, the shared
+  // per-balancer servers and the batched traversal together are a pure
+  // function of (spec, config, seed), so drift in any of them shows up
+  // here as an exact-value diff.
+  const auto r = simulate_multicore({svc::BackendKind::kBatchedNetwork, false},
+                                    small_config(8));
+  EXPECT_EQ(r.consume_ops, 4096u);
+  EXPECT_EQ(r.consumed, 4096u);
+  EXPECT_EQ(r.rejected, 0u);
+  EXPECT_EQ(r.refilled, 4096u);
+  EXPECT_EQ(r.stall_events, 3295u);
+  EXPECT_EQ(r.final_pool, 512);
+  EXPECT_DOUBLE_EQ(r.makespan, 4308.9672571499532);
+  EXPECT_TRUE(r.conserved);
+}
+
 TEST(MulticoreSim, ConservesTokensForEverySpec) {
   for (const auto& spec : multicore_sweep_specs()) {
     for (const std::size_t cores : {1u, 4u, 16u}) {
@@ -161,6 +178,24 @@ TEST(QuotaSim, GoldenSeedDeterminism) {
     EXPECT_EQ(a.admitted_per_tenant, b.admitted_per_tenant);
     EXPECT_EQ(a.peak_borrowed_per_tenant, b.peak_borrowed_per_tenant);
   }
+}
+
+TEST(QuotaSim, GoldenSeedReferenceCell) {
+  // The Table D' reference cell pinned golden: the acquire/settle/release
+  // flow simulate_overload shares, with no manager and no stagger. At 16
+  // cores the central parent keeps up, so every attempt is admitted.
+  const auto r = simulate_quota({svc::BackendKind::kCentralAtomic, false},
+                                quota_config(16));
+  EXPECT_EQ(r.acquire_ops, 8192u);  // 16 cores x 512 attempts
+  EXPECT_EQ(r.admitted, 8192u);
+  EXPECT_EQ(r.rejected, 0u);
+  EXPECT_EQ(r.granted_child_tokens, 4840u);
+  EXPECT_EQ(r.granted_parent_tokens, 3352u);
+  EXPECT_EQ(r.parent_stalls, 43711u);
+  EXPECT_EQ(r.child_stalls, 5904u);
+  EXPECT_DOUBLE_EQ(r.makespan, 10302.531755333461);
+  EXPECT_TRUE(r.conserved);
+  EXPECT_TRUE(r.isolation);
 }
 
 TEST(QuotaSim, ConservesAndIsolatesForEverySpec) {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -320,9 +321,13 @@ TEST(ReconfigHammer, QuotaStaysReleaseExactUnderConcurrentReweighs) {
                              {.initial_tokens = 10, .weight = 1}});
 
   std::atomic<bool> stop{false};
+  // Tenants start only after the first reweigh has committed, so at least
+  // one reweigh always lands before the tenant traffic can finish.
+  std::latch first_reweigh_done{1};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kTenants; ++t) {
     threads.emplace_back([&, t] {
+      first_reweigh_done.wait();
       std::vector<QuotaHierarchy::Grant> held;
       for (std::uint64_t i = 0; i < kRounds; ++i) {
         const auto grant = quota.acquire(t, t, 1 + i % 7);
@@ -339,6 +344,8 @@ TEST(ReconfigHammer, QuotaStaysReleaseExactUnderConcurrentReweighs) {
     const std::vector<std::vector<std::uint64_t>> cycles = {
         {4, 2, 1, 1}, {1, 1, 1, 1}, {8, 1, 1, 2}, {1, 6, 2, 3}};
     std::size_t i = 0;
+    quota.reweigh(kTenants, cycles[i++ % cycles.size()]);
+    first_reweigh_done.count_down();
     while (!stop.load(std::memory_order_acquire)) {
       quota.reweigh(kTenants, cycles[i++ % cycles.size()]);
     }

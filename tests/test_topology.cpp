@@ -4,7 +4,12 @@
 
 #include <stdexcept>
 
+#include "cnet/baselines/bitonic.hpp"
+#include "cnet/baselines/difftree.hpp"
+#include "cnet/baselines/periodic.hpp"
+#include "cnet/core/counting.hpp"
 #include "cnet/topology/dot.hpp"
+#include "cnet/topology/routing.hpp"
 
 namespace cnet::topo {
 namespace {
@@ -144,6 +149,71 @@ TEST(Dot, EmitsBalancersAndWires) {
   EXPECT_NE(dot.find("in0 -> b0"), std::string::npos);
   EXPECT_NE(dot.find("b0 -> out0"), std::string::npos);
   EXPECT_NE(dot.find("rank=same"), std::string::npos);
+}
+
+// The shared routing table, checked entry by entry against the topology it
+// was compiled from: every route[route_base[b] + p] decodes to the consumer
+// of balancer b's output p, every entry[i] to the consumer of input wire i,
+// and every balancer -> balancer entry points to a higher index (the order
+// CompiledNetwork::traverse_batch sweeps in).
+void expect_routing_matches(const Topology& net) {
+  const Routing r = compile_routing(net);
+  const auto expect_decodes_to = [](std::int32_t encoded,
+                                    const WireEnd& consumer) {
+    if (encoded < 0) {
+      EXPECT_EQ(consumer.kind, WireEnd::Kind::kNetworkOutput);
+      EXPECT_EQ(static_cast<std::uint32_t>(~encoded), consumer.port);
+    } else {
+      EXPECT_EQ(consumer.kind, WireEnd::Kind::kBalancer);
+      EXPECT_EQ(static_cast<std::uint32_t>(encoded), consumer.balancer.value);
+    }
+  };
+  ASSERT_EQ(r.fanout.size(), net.num_balancers());
+  ASSERT_EQ(r.route_base.size(), net.num_balancers());
+  std::size_t ports = 0;
+  for (std::uint32_t b = 0; b < net.num_balancers(); ++b) {
+    const Balancer& bal = net.balancer(BalancerId{b});
+    ASSERT_EQ(r.fanout[b], bal.fan_out());
+    ASSERT_EQ(r.route_base[b], ports);
+    for (std::size_t p = 0; p < bal.fan_out(); ++p) {
+      const std::int32_t dest = r.route[r.route_base[b] + p];
+      expect_decodes_to(dest, net.consumer(bal.outputs[p]));
+      if (dest >= 0) EXPECT_GT(static_cast<std::uint32_t>(dest), b);
+    }
+    ports += bal.fan_out();
+  }
+  EXPECT_EQ(r.route.size(), ports);
+  ASSERT_EQ(r.entry.size(), net.width_in());
+  for (std::size_t i = 0; i < net.width_in(); ++i) {
+    expect_decodes_to(r.entry[i], net.consumer(net.input_wires()[i]));
+  }
+}
+
+TEST(Routing, MatchesCountingNetwork) {
+  expect_routing_matches(core::make_counting(8, 24));
+}
+
+TEST(Routing, MatchesBitonic) {
+  expect_routing_matches(baselines::make_bitonic(8));
+}
+
+TEST(Routing, MatchesPeriodic) {
+  expect_routing_matches(baselines::make_periodic(8));
+}
+
+TEST(Routing, MatchesDiffractingTree) {
+  expect_routing_matches(baselines::make_diffracting_tree(8));
+}
+
+TEST(Routing, MatchesWidthOneSingleBalancer) {
+  Builder b;
+  const auto in = b.add_network_inputs(1);
+  b.set_outputs(b.add_balancer(in, 1));
+  const Topology net = std::move(b).build();
+  expect_routing_matches(net);
+  const Routing r = compile_routing(net);
+  EXPECT_EQ(r.entry, std::vector<std::int32_t>{0});
+  EXPECT_EQ(r.route, std::vector<std::int32_t>{~0});
 }
 
 }  // namespace
