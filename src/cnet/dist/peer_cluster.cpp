@@ -1,6 +1,7 @@
 #include "cnet/dist/peer_cluster.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "cnet/util/ensure.hpp"
@@ -92,16 +93,8 @@ std::uint64_t PeerCluster::donate(std::size_t thread_hint, std::size_t donor,
   // hierarchy grant parts, so its eventual expiry still settles against
   // the donor's account exactly. Surplus above the reserve is the shared
   // peer_surplus rule over the advisory balance.
-  std::uint64_t leased_active = 0;
-  for (const Lease& lease : from.leases) {
-    if (!lease.settled) leased_active += lease.grant.tokens();
-  }
-  const auto balance = from.balance.load(std::memory_order_relaxed);
-  const std::uint64_t surplus = peer_surplus(
-      balance > 0 ? static_cast<std::uint64_t>(balance) : 0,
-      cfg_.peer_reserve);
-  const std::uint64_t give =
-      std::min({want, surplus, leased_active});
+  const std::uint64_t give = from.leases.donatable(
+      from.balance.load(std::memory_order_relaxed), cfg_.peer_reserve, want);
   if (give == 0) return 0;
   // Drain the actual tokens first (the pool is the ground truth; the
   // advisory balance may run ahead of it), then carve exactly that many
@@ -113,27 +106,10 @@ std::uint64_t PeerCluster::donate(std::size_t thread_hint, std::size_t donor,
                          std::memory_order_relaxed);
   const std::uint64_t expiry = now_.load(std::memory_order_acquire) +
                                cfg_.lease_ttl;
-  std::uint64_t remaining = drained;
-  for (auto it = from.leases.rbegin();
-       it != from.leases.rend() && remaining > 0; ++it) {
-    Lease& lease = *it;
-    if (lease.settled) continue;
-    const CarvedParts parts = lease_carve(remaining, lease.grant.from_child,
-                                          lease.grant.from_parent);
-    if (parts.tokens() == 0) continue;
-    lease.grant.from_child -= parts.from_child;
-    lease.grant.from_parent -= parts.from_parent;
-    if (lease.grant.tokens() == 0) lease.settled = true;  // fully carved away
-    Lease transferred;
-    transferred.grant.admitted = true;
-    transferred.grant.tenant = lease.grant.tenant;  // settles to the donor
-    transferred.grant.from_child = parts.from_child;
-    transferred.grant.from_parent = parts.from_parent;
-    transferred.expiry = expiry;
-    dest.leases.push_back(transferred);
-    remaining -= parts.tokens();
-  }
-  CNET_ENSURE(remaining == 0, "donated tokens exceeded donor lease parts");
+  Ledger& into = dest.leases;
+  from.leases.carve(drained, [&](std::size_t tenant, CarvedParts parts) {
+    into.grant(tenant, parts, expiry);
+  });
   dest.local->refill(thread_hint, drained);
   dest.balance.fetch_add(static_cast<std::int64_t>(drained),
                          std::memory_order_relaxed);
@@ -153,9 +129,7 @@ std::uint64_t PeerCluster::renew(std::size_t thread_hint, std::size_t node,
     // the exactly-once guard — a lease the expiry sweep already settled
     // (possibly racing this renewal on another thread) is never revived.
     const util::MutexLock lock(ns.ledger);
-    for (Lease& lease : ns.leases) {
-      if (!lease.settled) lease.expiry = std::max(lease.expiry, fresh_expiry);
-    }
+    ns.leases.heartbeat(fresh_expiry);
   }
   const std::uint64_t ask =
       lease_grant(want, cfg_.lease_chunk, cfg_.lease_cap);
@@ -177,7 +151,8 @@ std::uint64_t PeerCluster::renew(std::size_t thread_hint, std::size_t node,
       ns.balance.fetch_add(static_cast<std::int64_t>(grant.tokens()),
                            std::memory_order_relaxed);
       const util::MutexLock lock(ns.ledger);
-      ns.leases.push_back(Lease{grant, fresh_expiry, false});
+      ns.leases.grant(grant.tenant, {grant.from_child, grant.from_parent},
+                      fresh_expiry);
       gained += grant.tokens();
     }
   }
@@ -185,14 +160,17 @@ std::uint64_t PeerCluster::renew(std::size_t thread_hint, std::size_t node,
   return gained;
 }
 
-void PeerCluster::refund_expired(std::size_t thread_hint, NodeState& ns,
-                                 const Lease& lease, std::uint64_t recovered) {
-  static_cast<void>(ns);  // present for the CNET_REQUIRES(ns.ledger) capability
+void PeerCluster::refund_expired(std::size_t thread_hint,
+                                 const Ledger::Debt& expired) {
+  const CarvedParts& parts = expired.parts;
   const ExpiryRefund split = lease_expiry_refund(
-      lease.grant.from_child, lease.grant.from_parent, recovered);
-  global_->settle_spent(thread_hint, lease.grant, split.refund_child,
+      parts.from_child, parts.from_parent, expired.recovered);
+  const svc::QuotaHierarchy::Grant grant{
+      true, static_cast<std::uint32_t>(expired.tenant), parts.from_child,
+      parts.from_parent};
+  global_->settle_spent(thread_hint, grant, split.refund_child,
                         split.refund_parent);
-  expiry_refunded_.fetch_add(recovered, std::memory_order_relaxed);
+  expiry_refunded_.fetch_add(expired.recovered, std::memory_order_relaxed);
 }
 
 void PeerCluster::advance(std::size_t thread_hint, std::uint64_t now) {
@@ -201,37 +179,37 @@ void PeerCluster::advance(std::size_t thread_hint, std::uint64_t now) {
   while (cur < now && !now_.compare_exchange_weak(
                           cur, now, std::memory_order_acq_rel)) {
   }
-  const std::uint64_t sweep_at = now_.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    NodeState& ns = *nodes_[i];
+  sweep(thread_hint, now_.load(std::memory_order_acquire));
+}
+
+void PeerCluster::sweep(std::size_t thread_hint, std::uint64_t at) {
+  for (auto& node : nodes_) {
+    NodeState& ns = *node;
     const util::MutexLock lock(ns.ledger);
     const bool partitioned = ns.partitioned.load(std::memory_order_acquire);
-    for (Lease& lease : ns.leases) {
-      if (lease.settled || lease.expiry > sweep_at) continue;
-      // Exactly-once: settled flips under the ledger lock before any token
-      // moves, so a renewal racing this sweep can never extend (and a
-      // second sweep can never re-refund) a lease being settled.
-      lease.settled = true;
-      const std::uint64_t recovered = ns.local->consume(
-          thread_hint, lease.grant.tokens(), svc::kPartialOk);
-      ns.balance.fetch_sub(static_cast<std::int64_t>(recovered),
+    for (std::size_t i = 0; i < ns.leases.size(); ++i) {
+      // Exactly-once: the ledger flips settled under the ledger lock before
+      // any token moves, so a renewal racing this sweep can never extend
+      // (and a second sweep can never re-refund) a lease being settled.
+      // A partitioned node's recovery sits in debt escrow — counted, held
+      // out of every pool — until heal() replays it exactly once.
+      const auto expired =
+          ns.leases.expire(i, at, partitioned, [&](std::uint64_t tokens) {
+            return ns.local->consume(thread_hint, tokens, svc::kPartialOk);
+          });
+      if (!expired) continue;
+      ns.balance.fetch_sub(static_cast<std::int64_t>(expired->recovered),
                            std::memory_order_relaxed);
       expiries_.fetch_add(1, std::memory_order_relaxed);
-      expiry_recovered_.fetch_add(recovered, std::memory_order_relaxed);
+      expiry_recovered_.fetch_add(expired->recovered,
+                                  std::memory_order_relaxed);
       if (partitioned) {
-        // Control plane down: the recovery sits in debt escrow — counted,
-        // held out of every pool — until heal() replays it exactly once.
-        ns.debts.push_back(Debt{lease.grant, recovered});
-        ns.debt_escrow += recovered;
-        debt_created_.fetch_add(recovered, std::memory_order_relaxed);
+        debt_created_.fetch_add(expired->recovered, std::memory_order_relaxed);
       } else {
-        refund_expired(thread_hint, ns, lease, recovered);
+        refund_expired(thread_hint, *expired);
       }
     }
-    ns.leases.erase(
-        std::remove_if(ns.leases.begin(), ns.leases.end(),
-                       [](const Lease& l) { return l.settled; }),
-        ns.leases.end());
+    ns.leases.compact();
   }
 }
 
@@ -239,36 +217,19 @@ void PeerCluster::partition(std::size_t node) {
   node_state(node).partitioned.store(true, std::memory_order_release);
 }
 
-std::uint64_t PeerCluster::reconcile_step(std::size_t thread_hint,
-                                          NodeState& ns) {
-  // One bounded batch: settle whole debt entries until the chunk's worth
-  // of escrowed tokens has been refunded. Zero-recovery entries (fully
-  // spent leases) still settle — their settle_spent closes the borrow.
-  const std::uint64_t budget =
-      debt_reconcile(ns.debt_escrow, cfg_.reconcile_chunk);
-  std::uint64_t settled = 0;
-  while (!ns.debts.empty()) {
-    const Debt debt = ns.debts.front();
-    ns.debts.pop_front();
-    const ExpiryRefund split = lease_expiry_refund(
-        debt.grant.from_child, debt.grant.from_parent, debt.recovered);
-    global_->settle_spent(thread_hint, debt.grant, split.refund_child,
-                          split.refund_parent);
-    settled += debt.recovered;
-    debt_reconciled_.fetch_add(debt.recovered, std::memory_order_relaxed);
-    expiry_refunded_.fetch_add(debt.recovered, std::memory_order_relaxed);
-    if (settled >= budget) break;
-  }
-  ns.debt_escrow -= settled;
-  return settled;
-}
-
 void PeerCluster::heal(std::size_t thread_hint, std::size_t node) {
   NodeState& ns = node_state(node);
   const util::MutexLock lock(ns.ledger);
   ns.partitioned.store(false, std::memory_order_release);
-  while (!ns.debts.empty()) reconcile_step(thread_hint, ns);
-  CNET_ENSURE(ns.debt_escrow == 0, "healed node left escrowed debt");
+  while (ns.leases.has_debt()) {
+    ns.leases.reconcile_batch(
+        cfg_.reconcile_chunk, [&](const Ledger::Debt& debt) {
+          refund_expired(thread_hint, debt);
+          debt_reconciled_.fetch_add(debt.recovered,
+                                     std::memory_order_relaxed);
+        });
+  }
+  CNET_ENSURE(ns.leases.escrowed() == 0, "healed node left escrowed debt");
   // Catch up on reconfiguration commits pushed while the node was dark.
   ns.observed_version.store(global_->config_version(),
                             std::memory_order_release);
@@ -279,22 +240,29 @@ bool PeerCluster::is_partitioned(std::size_t node) const {
 }
 
 void PeerCluster::expire_all(std::size_t thread_hint) {
-  // Force every active lease's expiry to "now", then run a normal sweep.
-  for (auto& ns : nodes_) {
-    const util::MutexLock lock(ns->ledger);
-    const std::uint64_t current = now_.load(std::memory_order_acquire);
-    for (Lease& lease : ns->leases) {
-      if (!lease.settled) lease.expiry = current;
-    }
-  }
-  advance(thread_hint, now_.load(std::memory_order_acquire));
+  sweep(thread_hint, std::numeric_limits<std::uint64_t>::max());
 }
+
+namespace {
+
+// Partial consumes until one comes back empty: a single consume can return
+// short of the pool, and refills can push a pool past the initial total.
+std::uint64_t drain_pool(svc::NetTokenBucket& pool, std::size_t thread_hint,
+                         std::uint64_t chunk) {
+  std::uint64_t drained = 0;
+  while (const auto got = pool.consume(thread_hint, chunk, svc::kPartialOk)) {
+    drained += got;
+  }
+  return drained;
+}
+
+}  // namespace
 
 std::uint64_t PeerCluster::drain_local(std::size_t thread_hint,
                                        std::size_t node) {
   NodeState& ns = node_state(node);
-  const std::uint64_t drained = ns.local->consume(
-      thread_hint, total_initial_ + 1, svc::kPartialOk);
+  const std::uint64_t drained =
+      drain_pool(*ns.local, thread_hint, total_initial_ + 1);
   ns.balance.fetch_sub(static_cast<std::int64_t>(drained),
                        std::memory_order_relaxed);
   return drained;
@@ -302,11 +270,9 @@ std::uint64_t PeerCluster::drain_local(std::size_t thread_hint,
 
 std::uint64_t PeerCluster::drain_global(std::size_t thread_hint) {
   std::uint64_t drained =
-      global_->parent().consume(thread_hint, total_initial_ + 1,
-                                svc::kPartialOk);
+      drain_pool(global_->parent(), thread_hint, total_initial_ + 1);
   for (std::size_t i = 0; i < global_->num_tenants(); ++i) {
-    drained += global_->child(i).consume(thread_hint, total_initial_ + 1,
-                                         svc::kPartialOk);
+    drained += drain_pool(global_->child(i), thread_hint, total_initial_ + 1);
   }
   return drained;
 }
@@ -326,27 +292,19 @@ std::int64_t PeerCluster::local_balance(std::size_t node) const {
 std::uint64_t PeerCluster::leased_tokens(std::size_t node) const {
   NodeState& ns = node_state(node);
   const util::MutexLock lock(ns.ledger);
-  std::uint64_t total = 0;
-  for (const Lease& lease : ns.leases) {
-    if (!lease.settled) total += lease.grant.tokens();
-  }
-  return total;
+  return ns.leases.active_tokens();
 }
 
 std::uint64_t PeerCluster::active_leases(std::size_t node) const {
   NodeState& ns = node_state(node);
   const util::MutexLock lock(ns.ledger);
-  std::uint64_t count = 0;
-  for (const Lease& lease : ns.leases) {
-    if (!lease.settled) ++count;
-  }
-  return count;
+  return ns.leases.active_leases();
 }
 
 std::uint64_t PeerCluster::debt_tokens(std::size_t node) const {
   NodeState& ns = node_state(node);
   const util::MutexLock lock(ns.ledger);
-  return ns.debt_escrow;
+  return ns.leases.escrowed();
 }
 
 std::uint64_t PeerCluster::spent(std::size_t node) const {

@@ -25,9 +25,9 @@
 //              expired lease refunds its *unspent* tokens to the global
 //              hierarchy exactly once (lease_expiry_refund splits the
 //              refund across the quota levels; QuotaHierarchy::settle_spent
-//              closes the whole borrow). The settled flag under the node's
-//              ledger mutex is what makes an expiry racing a renewal
-//              settle exactly once, never twice.
+//              closes the whole borrow). The ledger's settled flag, under
+//              the node's ledger mutex, is what makes an expiry racing a
+//              renewal settle exactly once, never twice.
 //   partition  blocks a node's control plane (no renewals, no donations in
 //              or out, no global refunds): the node can spend only the
 //              leases it already holds. Expiries while partitioned recover
@@ -40,16 +40,19 @@
 // bench_tab_dist Table G: at any quiescent point,
 //   global pools + Σ local pools + Σ spent + Σ debt escrow
 // equals the constructed total, and after heal + expire_all the escrow
-// term is zero. All decision rules live in dist/policy.hpp, shared
-// verbatim with the virtual-time mirror (sim::simulate_cluster).
+// term is zero. All decision rules live in dist/policy.hpp, and each
+// node's lease book — records, heartbeat, donation carve, exactly-once
+// settlement, debt escrow — is a dist::LeaseLedger guarded by the node's
+// ledger mutex. sim::simulate_cluster runs the same rules and the same
+// ledger in virtual time.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "cnet/dist/lease_ledger.hpp"
 #include "cnet/dist/policy.hpp"
 #include "cnet/dist/topology.hpp"
 #include "cnet/svc/backend.hpp"
@@ -174,26 +177,16 @@ class PeerCluster {
   std::uint64_t observed_reweigh_version(std::size_t node) const;
 
  private:
-  struct Lease {
-    svc::QuotaHierarchy::Grant grant;  // tenant = the account it settles to
-    std::uint64_t expiry = 0;
-    bool settled = false;
-  };
-  struct Debt {
-    svc::QuotaHierarchy::Grant grant;
-    std::uint64_t recovered = 0;  // escrowed tokens awaiting the refund
-  };
+  using Ledger = LeaseLedger<std::uint64_t>;
   struct NodeState {
     std::unique_ptr<svc::NetTokenBucket> local;
     std::unique_ptr<svc::OverloadManager> overload;
     // The lease/debt ledger mutex. Everything the exactly-once settlement
     // argument rests on — the settled flags, the escrowed debts, the
-    // escrow balance — is annotated against it, so "discipline in prose"
-    // is now a compile error under -Wthread-safety.
+    // escrow balance — lives in the LeaseLedger annotated against it, so
+    // "discipline in prose" is a compile error under -Wthread-safety.
     mutable util::Mutex ledger;
-    std::vector<Lease> leases CNET_GUARDED_BY(ledger);
-    std::deque<Debt> debts CNET_GUARDED_BY(ledger);
-    std::uint64_t debt_escrow CNET_GUARDED_BY(ledger) = 0;
+    Ledger leases CNET_GUARDED_BY(ledger);
     std::atomic<bool> partitioned{false};
     std::atomic<std::int64_t> balance{0};  // advisory local-pool ledger
     std::atomic<std::uint64_t> spent{0};
@@ -201,15 +194,12 @@ class PeerCluster {
   };
 
   NodeState& node_state(std::size_t node) const;
-  // Settles one lease against the hierarchy. The caller holds ns's ledger
-  // lock and has already marked the lease settled and recovered the
-  // tokens — enforced, not assumed: ns is passed for the capability.
-  void refund_expired(std::size_t thread_hint, NodeState& ns,
-                      const Lease& lease, std::uint64_t recovered)
-      CNET_REQUIRES(ns.ledger);
-  // One bounded batch of debt reconciliation; returns tokens settled.
-  std::uint64_t reconcile_step(std::size_t thread_hint, NodeState& ns)
-      CNET_REQUIRES(ns.ledger);
+  // Settles one expired lease's grant against the hierarchy, refunding the
+  // recovered tokens through the shared lease_expiry_refund split.
+  void refund_expired(std::size_t thread_hint, const Ledger::Debt& expired);
+  // Settles every lease due at `at`; the expiry sweep behind advance() and
+  // expire_all().
+  void sweep(std::size_t thread_hint, std::uint64_t at);
   std::uint64_t donate(std::size_t thread_hint, std::size_t donor,
                        std::size_t to, std::uint64_t want);
 

@@ -1,14 +1,13 @@
 // The cluster family: simulate_cluster (Table G′), the dist::PeerCluster
 // lease tier over per-link FIFO latency servers.
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "cnet/dist/lease_ledger.hpp"
 #include "cnet/dist/policy.hpp"
 #include "cnet/dist/topology.hpp"
 #include "cnet/sim/multicore.hpp"
@@ -135,21 +134,11 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     return link_of(topo.proximity(node, 0));
   };
 
-  struct SimLease {
-    std::size_t tenant;  // the account its refund settles to
-    std::uint64_t from_child;
-    std::uint64_t from_parent;
-    double expiry;
-    bool settled;
-  };
-  struct NodeLedger {
-    std::deque<SimLease> leases;  // deque: stable refs across push_back
-    std::deque<dist::CarvedParts> debts;  // tenant rides in debt_tenants
-    std::deque<std::pair<std::size_t, std::uint64_t>> debt_meta;
-    std::uint64_t escrow = 0;
-    bool partitioned = false;
-  };
-  std::vector<NodeLedger> nodes(n);
+  // Each node's lease book is the live ledger itself; the simulator never
+  // compacts it, so a lease's index stays valid for its expiry events.
+  using Ledger = dist::LeaseLedger<double>;
+  std::vector<Ledger> ledgers(n);
+  std::vector<char> partitioned(n, 0);
 
   std::vector<double> admit_latency;
   admit_latency.reserve(static_cast<std::size_t>(cfg.ops_per_core) *
@@ -163,65 +152,56 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   // lease_expiry_refund split the live ledger applies via settle_spent —
   // child part to the lease account, parent part home to the pool, the
   // whole borrow headroom freed.
-  const auto apply_refund = [&](std::size_t tenant, std::uint64_t from_child,
-                                std::uint64_t from_parent,
-                                std::uint64_t recovered, bool is_debt) {
-    const dist::ExpiryRefund split =
-        dist::lease_expiry_refund(from_child, from_parent, recovered);
-    account[tenant] += static_cast<std::int64_t>(split.refund_child);
-    if (from_parent > 0) borrowed[tenant] -= from_parent;
-    res.expiry_refunded += recovered;
-    if (is_debt) res.debt_reconciled += recovered;
+  const auto apply_refund = [&](const Ledger::Debt& d, bool is_debt) {
+    const dist::ExpiryRefund split = dist::lease_expiry_refund(
+        d.parts.from_child, d.parts.from_parent, d.recovered);
+    account[d.tenant] += static_cast<std::int64_t>(split.refund_child);
+    if (d.parts.from_parent > 0) borrowed[d.tenant] -= d.parts.from_parent;
+    res.expiry_refunded += d.recovered;
+    if (is_debt) res.debt_reconciled += d.recovered;
     touch();
     if (split.refund_parent > 0) {
-      parent.refund_n(tenant, split.refund_parent, [&] { touch(); });
+      parent.refund_n(d.tenant, split.refund_parent, [&] { touch(); });
     }
   };
 
   // Lease expiry: events re-arm while renewals keep extending the expiry
-  // field (the heartbeat), and settle exactly once via the settled flag —
-  // same shape as the live ledger's expiry-vs-renewal race rule.
-  std::function<void(std::size_t, SimLease*)> arm_expiry =
-      [&](std::size_t node, SimLease* lease) {
-        eng.at(lease->expiry, [&, node, lease] {
-          if (lease->settled) return;
-          if (lease->expiry > eng.now()) {
-            arm_expiry(node, lease);  // renewed since; chase the new TTL
+  // (the ledger's heartbeat), and settle exactly once through the ledger's
+  // settled flag — the live expiry-vs-renewal race rule.
+  std::function<void(std::size_t, std::size_t)> arm_expiry =
+      [&](std::size_t node, std::size_t i) {
+        eng.at(ledgers[node].lease(i).expiry, [&, node, i] {
+          Ledger& ledger = ledgers[node];
+          const bool dark = partitioned[node] != 0;
+          const auto expired =
+              ledger.expire(i, eng.now(), dark, [&](std::uint64_t tokens) {
+                return std::min(tokens, static_cast<std::uint64_t>(
+                                            std::max<std::int64_t>(
+                                                local[node], 0)));
+              });
+          if (!expired) {
+            // Renewed since; chase the new TTL.
+            if (!ledger.lease(i).settled) arm_expiry(node, i);
             return;
           }
-          lease->settled = true;
-          NodeLedger& ledger = nodes[node];
-          const std::uint64_t tokens = lease->from_child + lease->from_parent;
-          const auto avail = static_cast<std::uint64_t>(
-              std::max<std::int64_t>(local[node], 0));
-          const std::uint64_t recovered = std::min(tokens, avail);
-          local[node] -= static_cast<std::int64_t>(recovered);
+          local[node] -= static_cast<std::int64_t>(expired->recovered);
           ++res.expiries;
-          res.expiry_recovered += recovered;
+          res.expiry_recovered += expired->recovered;
           touch();
-          if (ledger.partitioned) {
-            ledger.debts.push_back({lease->from_child, lease->from_parent});
-            ledger.debt_meta.push_back({lease->tenant, recovered});
-            ledger.escrow += recovered;
-            res.debt_created += recovered;
+          if (dark) {
+            res.debt_created += expired->recovered;
             return;
           }
-          const std::size_t tenant = lease->tenant;
-          const std::uint64_t fc = lease->from_child;
-          const std::uint64_t fp = lease->from_parent;
-          eng.at(occupy(node, uplat(node)), [&, tenant, fc, fp, recovered] {
-            apply_refund(tenant, fc, fp, recovered, /*is_debt=*/false);
+          eng.at(occupy(node, uplat(node)), [&, d = *expired] {
+            apply_refund(d, /*is_debt=*/false);
           });
         });
       };
 
   const auto add_lease = [&](std::size_t node, std::size_t tenant,
-                             std::uint64_t from_child,
-                             std::uint64_t from_parent) {
-    NodeLedger& ledger = nodes[node];
-    ledger.leases.push_back({tenant, from_child, from_parent,
-                             eng.now() + cfg.lease_ttl, false});
-    arm_expiry(node, &ledger.leases.back());
+                             dist::CarvedParts parts) {
+    arm_expiry(node, ledgers[node].grant(tenant, parts,
+                                         eng.now() + cfg.lease_ttl));
   };
 
   // Lease renewal: heartbeat, then nearest-donor walk, then the global
@@ -238,16 +218,11 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     if (op->issued && op->pending == 0) op->done(op->gained);
   };
   const auto renew = [&](std::size_t node, std::uint64_t want, DoneN done) {
-    NodeLedger& ledger = nodes[node];
-    if (ledger.partitioned) {
+    if (partitioned[node] != 0) {
       done(0);
       return;
     }
-    for (SimLease& lease : ledger.leases) {
-      if (!lease.settled) {
-        lease.expiry = std::max(lease.expiry, eng.now() + cfg.lease_ttl);
-      }
-    }
+    ledgers[node].heartbeat(eng.now() + cfg.lease_ttl);
     auto op = std::make_shared<RenewOp>();
     op->done = std::move(done);
     std::uint64_t need = dist::lease_grant(want, cfg.lease_chunk,
@@ -258,41 +233,17 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
           dist::renewal_target(topo, node, attempt);
       if (!target.has_value()) break;
       const std::size_t donor = *target;
-      NodeLedger& from = nodes[donor];
-      if (from.partitioned) continue;
-      std::uint64_t leased_active = 0;
-      for (const SimLease& lease : from.leases) {
-        if (!lease.settled) {
-          leased_active += lease.from_child + lease.from_parent;
-        }
-      }
-      const auto balance = static_cast<std::uint64_t>(
-          std::max<std::int64_t>(local[donor], 0));
+      if (partitioned[donor] != 0) continue;
+      Ledger& from = ledgers[donor];
       const std::uint64_t give =
-          std::min({need, dist::peer_surplus(balance, cfg.peer_reserve),
-                    leased_active});
+          from.donatable(local[donor], cfg.peer_reserve, need);
       if (give == 0) continue;
       local[donor] -= static_cast<std::int64_t>(give);
-      // Carve the donor's newest active leases, child parts first; the
-      // transferred lease keeps the donor's tenant so its refund settles
-      // to the account that granted it.
       auto carved = std::make_shared<
           std::vector<std::pair<std::size_t, dist::CarvedParts>>>();
-      std::uint64_t remaining = give;
-      for (auto it = from.leases.rbegin();
-           it != from.leases.rend() && remaining > 0; ++it) {
-        if (it->settled) continue;
-        const dist::CarvedParts parts =
-            dist::lease_carve(remaining, it->from_child, it->from_parent);
-        if (parts.tokens() == 0) continue;
-        it->from_child -= parts.from_child;
-        it->from_parent -= parts.from_parent;
-        if (it->from_child + it->from_parent == 0) it->settled = true;
-        carved->push_back({it->tenant, parts});
-        remaining -= parts.tokens();
-      }
-      CNET_ENSURE(remaining == 0,
-                  "donated tokens exceeded donor lease parts");
+      from.carve(give, [&](std::size_t tenant, dist::CarvedParts parts) {
+        carved->push_back({tenant, parts});
+      });
       ++res.donations;
       res.donated_tokens += give;
       need -= give;
@@ -300,7 +251,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
       const double rtt = 2.0 * link_of(topo.proximity(node, donor));
       eng.at(occupy(node, rtt), [&, node, give, carved, op] {
         for (const auto& [tenant, parts] : *carved) {
-          add_lease(node, tenant, parts.from_child, parts.from_parent);
+          add_lease(node, tenant, parts);
         }
         local[node] += static_cast<std::int64_t>(give);
         op->gained += give;
@@ -314,7 +265,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
       const std::uint64_t ask = need;
       ++op->pending;
       eng.at(occupy(node, uplat(node)), [&, node, ask, op] {
-        if (nodes[node].partitioned) {
+        if (partitioned[node] != 0) {
           // Partition cut the request mid-flight: the coordinator drops
           // it, so the partitioned node gets (and spends) nothing global.
           --op->pending;
@@ -341,7 +292,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
           eng.at(eng.now() + uplat(node), [&, node, got_child2, got_parent,
                                            total, op] {
             if (total > 0) {
-              add_lease(node, node, got_child2, got_parent);
+              add_lease(node, node, {got_child2, got_parent});
               local[node] += static_cast<std::int64_t>(total);
               ++res.renewals;
               res.renewal_tokens += total;
@@ -370,40 +321,27 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   // Healed partitions replay their escrow in debt_reconcile-bounded
   // batches, one uplink round trip per batch.
   std::function<void(std::size_t)> reconcile = [&](std::size_t node) {
-    NodeLedger& ledger = nodes[node];
-    if (ledger.debts.empty()) {
-      CNET_ENSURE(ledger.escrow == 0, "debt escrow left after reconcile");
+    Ledger& ledger = ledgers[node];
+    if (!ledger.has_debt()) {
+      CNET_ENSURE(ledger.escrowed() == 0, "debt escrow left after reconcile");
       return;
     }
-    const std::uint64_t budget =
-        dist::debt_reconcile(ledger.escrow, cfg.reconcile_chunk);
-    auto batch = std::make_shared<std::vector<
-        std::tuple<std::size_t, std::uint64_t, std::uint64_t,
-                   std::uint64_t>>>();
-    std::uint64_t settled = 0;
-    while (!ledger.debts.empty() && (settled < budget || budget == 0)) {
-      const dist::CarvedParts parts = ledger.debts.front();
-      const auto [tenant, recovered] = ledger.debt_meta.front();
-      ledger.debts.pop_front();
-      ledger.debt_meta.pop_front();
-      batch->push_back({tenant, parts.from_child, parts.from_parent,
-                        recovered});
-      settled += recovered;
-      if (budget == 0) break;  // zero-recovery entries still settle
-    }
-    ledger.escrow -= settled;
+    auto batch = std::make_shared<std::vector<Ledger::Debt>>();
+    ledger.reconcile_batch(cfg.reconcile_chunk, [&](const Ledger::Debt& d) {
+      batch->push_back(d);
+    });
     eng.at(occupy(node, uplat(node)), [&, node, batch] {
-      for (const auto& [tenant, fc, fp, recovered] : *batch) {
-        apply_refund(tenant, fc, fp, recovered, /*is_debt=*/true);
+      for (const Ledger::Debt& debt : *batch) {
+        apply_refund(debt, /*is_debt=*/true);
       }
       eng.at(eng.now() + uplat(node), [&, node] { reconcile(node); });
     });
   };
 
   for (const ClusterPartition& p : cfg.partitions) {
-    eng.at(p.start, [&, p] { nodes[p.node].partitioned = true; });
+    eng.at(p.start, [&, p] { partitioned[p.node] = 1; });
     eng.at(p.end, [&, p] {
-      nodes[p.node].partitioned = false;
+      partitioned[p.node] = 0;
       touch();
       reconcile(p.node);
     });
@@ -457,14 +395,14 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
       attempt(c, node, issue, false);
       return;
     }
-    if (nodes[node].partitioned) {
+    if (partitioned[node] != 0) {
       // Central counting has no local pool to fall back on: a partitioned
       // node admits nothing (and, crucially, touches nothing global).
       finish_op(c, false, issue);
       return;
     }
     eng.at(occupy(node, uplat(node)), [&, c, node, issue] {
-      if (nodes[node].partitioned) {
+      if (partitioned[node] != 0) {
         ++res.partition_global_touches;
       }
       parent.try_decrement_n(c, 1, [&, c, node, issue](std::uint64_t got) {
@@ -487,11 +425,8 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
     res.final_local_tokens += local[i];
     held += account[i] + local[i];
     conserved = conserved && account[i] >= 0 && local[i] >= 0 &&
-                borrowed[i] == 0 && nodes[i].escrow == 0 &&
-                nodes[i].debts.empty();
-    for (const SimLease& lease : nodes[i].leases) {
-      conserved = conserved && lease.settled;
-    }
+                borrowed[i] == 0 && ledgers[i].escrowed() == 0 &&
+                !ledgers[i].has_debt() && ledgers[i].active_leases() == 0;
   }
   res.conserved =
       conserved &&

@@ -13,7 +13,9 @@
 //
 // Model inventory (each is the virtual-time mirror of a real component,
 // sharing its decision logic through svc/policy.hpp rather than
-// reimplementing it):
+// reimplementing it; where the real component is a single-threaded state
+// machine — svc::LoadStats, svc::OverloadManager, dist::LeaseLedger — the
+// simulator runs the real class):
 //   - central atomic word  -> one FIFO server whose service time grows with
 //     the number of requests already queued (cache-line ownership
 //     migration: every extra sharer lengthens the RMW);
@@ -29,8 +31,9 @@
 //   - NetTokenBucket       -> the pool count driven through
 //     svc::bucket_consume, bounded at zero at every event;
 //   - AdaptiveCounter      -> cold central / hot batched-network pair whose
-//     switch fires off svc::should_switch over windows of simulated stall
-//     events, migrating the pool exactly at the switch instant.
+//     switch fires off svc::should_switch over svc::LoadStats windows of
+//     simulated stall events, migrating the pool exactly at the switch
+//     instant.
 //
 // The workload mirrors bench_tab_svc Table B: each core runs a closed loop
 // of consume(1) ops, topping the pool up with a bulk refill every
@@ -211,13 +214,13 @@ QuotaSimConfig quota_sim_reference_config(std::size_t cores);
 // counterpart): the quota workload above, run by the same acquire/settle/
 // release code, but cores enter staggered — core c starts at
 // c * core_start_stagger — so offered load ramps up past saturation and
-// back down as cores finish. A periodic sampler event plays
-// the manager: it reads the same three signals the real monitors read
-// (parent-pool stall rate over a window, reject ratio over a window, peak
-// borrow occupancy), runs them through the *same* pure rules
-// (svc::window_pressure / occupancy_pressure / combine_pressure /
-// overload_tier / overload_actions / shed_set from svc/policy.hpp), and
-// actuates the resulting tier inside the model:
+// back down as cores finish. A periodic sampler event calls evaluate() on a
+// real svc::OverloadManager built from `thresholds` and `shed_fraction`,
+// whose monitors read the flow's counters: two WindowedRateMonitors
+// (parent stalls per acquire, organic rejects per acquire) and a
+// GaugeMonitor (total borrow against the sum of the tenants' limits). On a
+// tier change the simulator applies only the tier's effects inside the
+// model:
 //   - kShrinkBatch      -> release/shed refunds go back in chunks of
 //                          max(1, tokens / batch_divisor) instead of one
 //                          bulk traversal;
@@ -404,7 +407,8 @@ std::vector<svc::BackendSpec> multicore_sweep_specs();
 // lease_expiry_refund / debt_reconcile / renewal_target / peer_surplus /
 // lease_carve from dist/policy.hpp over the real dist::Topology walk, and
 // borrow_allowance / quota_settle from svc/policy.hpp for the coordinator's
-// two-level grants.
+// two-level grants. Each node's leases live in a real dist::LeaseLedger,
+// the same lease book PeerCluster keeps per node.
 //
 // Workload: each node core runs a closed admit(1) loop against its node's
 // local pool. In leased mode an empty pool triggers a lease renewal —

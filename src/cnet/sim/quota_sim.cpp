@@ -10,6 +10,7 @@
 
 #include "cnet/sim/multicore.hpp"
 #include "cnet/sim/vtime.hpp"
+#include "cnet/svc/overload.hpp"
 #include "cnet/svc/policy.hpp"
 #include "cnet/util/ensure.hpp"
 #include "cnet/util/prng.hpp"
@@ -415,30 +416,35 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
                                     const OverloadSimConfig& cfg) {
   CNET_REQUIRE(cfg.core_start_stagger >= 0.0, "delays must be nonnegative");
   CNET_REQUIRE(cfg.sample_every > 0.0, "sample cadence must be positive");
-  CNET_REQUIRE(cfg.stall_saturation > 0.0,
-               "stall saturation rate must be positive");
-  CNET_REQUIRE(cfg.shed_fraction >= 0.0 && cfg.shed_fraction <= 1.0,
-               "shed_fraction must be in [0, 1]");
 
   QuotaFlow flow(parent_spec, cfg.quota);
   Engine& eng = flow.eng;
   OverloadSimResult res;
 
-  // Manager state: the tier in force; its action table is flow.actions,
-  // read by the workload at decision points, exactly as the real
-  // components read OverloadManager::actions().
-  svc::OverloadTier tier = svc::OverloadTier::kNominal;
+  // The real manager, sampled in virtual time. Its three monitors read the
+  // flow's counters: the parent stall rate, the organic reject ratio (shed
+  // turn-aways are the manager's own doing and never reach a bucket), and
+  // aggregate borrow occupancy, set just before each evaluate().
+  svc::OverloadManager manager({cfg.thresholds, cfg.shed_fraction});
+  manager.add_monitor(std::make_unique<svc::WindowedRateMonitor>(
+      "stall_rate", [&] { return flow.res.acquire_ops; },
+      [&] { return flow.parent.stalls(); }, cfg.stall_saturation));
+  manager.add_monitor(std::make_unique<svc::WindowedRateMonitor>(
+      "reject_ratio", [&] { return flow.res.acquire_ops; },
+      [&] { return flow.res.rejected; }, 1.0));
+  auto& borrow = static_cast<svc::GaugeMonitor&>(manager.add_monitor(
+      std::make_unique<svc::GaugeMonitor>("borrow_pressure",
+                                          flow.total_limit)));
 
-  // A tier change takes effect here: the action table swaps, a forced
-  // adaptive swap fires, and entering/leaving the shed tier runs the
-  // shed_set sweep / the restore — the OverloadManager::apply_transition
-  // sequence in virtual time.
-  const auto apply_transition = [&](svc::OverloadTier to, double pressure) {
-    res.transitions.push_back({eng.now(), tier, to, pressure});
+  // A tier change takes effect here: the workload reads the new action
+  // table, a forced adaptive swap fires, and entering/leaving the shed
+  // tier runs the shed_set sweep / the restore on the simulated tenants.
+  const auto apply_transition = [&](svc::OverloadTier from,
+                                    svc::OverloadTier to) {
+    res.transitions.push_back({eng.now(), from, to, manager.pressure()});
     const bool was_shedding = flow.actions.shed_tenants;
-    tier = to;
-    flow.actions = svc::overload_actions(tier);
-    if (tier > res.peak_tier) res.peak_tier = tier;
+    flow.actions = svc::overload_actions(to);
+    if (to > res.peak_tier) res.peak_tier = to;
     vtime::AdaptiveModel* adaptive = flow.parent_stack.adaptive;
     if (flow.actions.force_eliminate && adaptive != nullptr &&
         !adaptive->switched()) {
@@ -455,40 +461,20 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
     }
   };
 
-  // The manager's periodic evaluate(): window deltas over the flow's
-  // counters feed the same three signals the real monitors produce — the
-  // parent stall rate, the organic reject ratio (shed turn-aways are the
-  // manager's own doing and never reach a bucket), and aggregate borrow
-  // occupancy — through the same pure combining and tier rules. The
-  // sampler keeps itself alive while cores run, then for at most
-  // drain_samples more while the tier decays back to nominal.
-  std::uint64_t last_ops = 0;
-  std::uint64_t last_stalls = 0;
-  std::uint64_t last_rejects = 0;
+  // The periodic evaluate(). The sampler keeps itself alive while cores
+  // run, then for at most drain_samples more while the tier decays back to
+  // nominal.
   std::size_t drain_budget = cfg.drain_samples;
   std::function<void()> sample = [&] {
-    const std::uint64_t ops_now = flow.res.acquire_ops;
-    const std::uint64_t stalls_now = flow.parent.stalls();
-    const std::uint64_t rejects_now = flow.res.rejected;
-    const svc::LoadWindow stall_win{ops_now - last_ops,
-                                    stalls_now - last_stalls};
-    const svc::LoadWindow reject_win{ops_now - last_ops,
-                                     rejects_now - last_rejects};
-    last_ops = ops_now;
-    last_stalls = stalls_now;
-    last_rejects = rejects_now;
     std::uint64_t borrowed_total = 0;
     for (const std::uint64_t b : flow.borrowed) borrowed_total += b;
-    const double pressure = svc::combine_pressure(
-        {svc::window_pressure(stall_win, cfg.stall_saturation),
-         svc::window_pressure(reject_win, 1.0),
-         svc::occupancy_pressure(borrowed_total, flow.total_limit)});
-    const svc::OverloadTier to =
-        svc::overload_tier(pressure, tier, cfg.thresholds);
-    if (to != tier) apply_transition(to, pressure);
+    borrow.set(borrowed_total);
+    const svc::OverloadTier from = manager.tier();
+    const svc::OverloadTier to = manager.evaluate();
+    if (to != from) apply_transition(from, to);
     if (flow.active_cores > 0) {
       eng.at(eng.now() + cfg.sample_every, sample);
-    } else if (tier != svc::OverloadTier::kNominal && drain_budget > 0) {
+    } else if (to != svc::OverloadTier::kNominal && drain_budget > 0) {
       --drain_budget;
       eng.at(eng.now() + cfg.sample_every, sample);
     }
@@ -507,7 +493,7 @@ OverloadSimResult simulate_overload(const svc::BackendSpec& parent_spec,
   res.shed_rejects = flow.shed_rejects;
   res.shed_refunded_tokens = flow.shed_refunded_tokens;
   res.shed_rejects_per_tenant = flow.shed_rejects_per_tenant;
-  res.final_tier = tier;
+  res.final_tier = manager.tier();
   res.conserved = flow.res.conserved;
 
   bool hysteresis_ok = true;

@@ -1,9 +1,9 @@
 #include "cnet/sim/token_sim.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
+#include <utility>
 
+#include "cnet/sim/token_machine.hpp"
 #include "cnet/topology/routing.hpp"
 #include "cnet/util/ensure.hpp"
 
@@ -11,179 +11,100 @@ namespace cnet::sim {
 
 namespace {
 
-constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-
-struct Token {
-  std::uint32_t process = 0;
-  std::uint32_t record = 0;  // index into token_records when enabled
-};
-
+// The Scheduler-driven run of the shared token machine: it keeps the
+// nonempty-balancer set the schedulers see and the SimResult tallies.
 class Engine final : public EngineView {
  public:
   Engine(const topo::Topology& net, const SimConfig& cfg)
-      : net_(net), cfg_(cfg) {
-    CNET_REQUIRE(cfg.concurrency >= 1, "need at least one process");
-    CNET_REQUIRE(cfg.total_tokens >= 1, "need at least one token");
-    const std::size_t nb = net_.num_balancers();
-    state_.assign(nb, 0);
-    layer_.resize(nb);
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      layer_[b] = static_cast<std::uint32_t>(
-          net_.balancer_depth(topo::BalancerId{b}));
-    }
-    queues_.assign(nb, {});
-    pos_in_nonempty_.assign(nb, kNone);
-  }
+      : net_(net),
+        cfg_(cfg),
+        machine_(routing_, net.width_in(), net.width_out(), cfg.concurrency,
+                 cfg.total_tokens),
+        pos_in_nonempty_(net.num_balancers()) {}
 
   // --- EngineView ---
-  std::size_t num_balancers() const override { return queues_.size(); }
-  std::uint32_t queue_size(std::uint32_t b) const override {
-    return static_cast<std::uint32_t>(queues_[b].size());
+  std::size_t num_balancers() const override {
+    return machine_.num_balancers();
   }
-  std::uint32_t layer_of(std::uint32_t b) const override { return layer_[b]; }
+  std::uint32_t queue_size(std::uint32_t b) const override {
+    return machine_.queue_size(b);
+  }
+  std::uint32_t layer_of(std::uint32_t b) const override {
+    return static_cast<std::uint32_t>(
+        net_.balancer_depth(topo::BalancerId{b}));
+  }
   const std::vector<std::uint32_t>& nonempty() const override {
     return nonempty_;
   }
 
-  SimResult run(Scheduler& sched) {
-    sched.attach(*this);
-    SimResult res;
-    res.tokens = cfg_.total_tokens;
-    if (cfg_.collect_per_balancer) {
-      res.stalls_per_balancer.assign(queues_.size(), 0);
-      res.stalls_per_layer.assign(net_.depth(), 0);
+  // --- TokenMachine hooks ---
+  void enqueued(std::uint32_t b) {
+    const std::uint32_t size = machine_.queue_size(b);
+    if (size == 1) {
+      pos_in_nonempty_[b] = static_cast<std::uint32_t>(nonempty_.size());
+      nonempty_.push_back(b);
     }
-    if (cfg_.collect_counter_values) {
-      res.counter_values.reserve(cfg_.total_tokens);
-    }
-    if (cfg_.collect_token_records) {
-      res.token_records.reserve(cfg_.total_tokens);
-    }
-    res.input_counts.assign(net_.width_in(), 0);
-    res.output_counts.assign(net_.width_out(), 0);
-
-    // Counter cells v_i = i, stepped by t on each exit (paper §1.1).
-    std::vector<seq::Value> cell(net_.width_out());
-    for (std::size_t i = 0; i < cell.size(); ++i) {
-      cell[i] = static_cast<seq::Value>(i);
-    }
-    const auto t_out = static_cast<seq::Value>(net_.width_out());
-
-    // Inject the first token of every process (each process has at most one
-    // token in flight; injection is eager).
-    std::size_t injected = 0;
-    std::size_t exited = 0;
-    auto inject = [&](std::uint32_t process) {
-      if (injected == cfg_.total_tokens) return;
-      ++injected;
-      const std::size_t wire_pos = process % net_.width_in();
-      ++res.input_counts[wire_pos];
-      Token tok{process, 0};
-      if (cfg_.collect_token_records) {
-        tok.record = static_cast<std::uint32_t>(res.token_records.size());
-        res.token_records.push_back(
-            TokenRecord{process, step_count_, 0, 0});
-      }
-      deliver(routing_.entry[wire_pos], tok, sched, res, cell, t_out,
-              exited);
-    };
-    const std::size_t first_wave =
-        std::min(cfg_.concurrency, cfg_.total_tokens);
-    for (std::uint32_t p = 0; p < first_wave; ++p) inject(p);
-
-    // Main loop: fire scheduler-chosen balancers until all tokens exited.
-    while (exited < cfg_.total_tokens) {
-      CNET_ENSURE(!nonempty_.empty(),
-                  "no waiting tokens but simulation not finished");
-      const std::uint32_t b = sched.pick();
-      CNET_ENSURE(b < queues_.size() && !queues_[b].empty(),
-                  "scheduler picked an empty balancer");
-      ++step_count_;
-      // One atomic transition: FIFO head passes, every other waiter stalls.
-      const auto waiters =
-          static_cast<std::uint64_t>(queues_[b].size()) - 1;
-      res.total_stalls += waiters;
-      if (cfg_.collect_per_balancer) {
-        res.stalls_per_balancer[b] += waiters;
-        res.stalls_per_layer[layer_[b] - 1] += waiters;
-      }
-      const Token tok = queues_[b].front();
-      queues_[b].pop_front();
-      if (queues_[b].empty()) remove_nonempty(b);
-      const std::uint32_t port = state_[b];
-      state_[b] = (state_[b] + 1) % routing_.fanout[b];
-      const std::int32_t next = routing_.route[routing_.route_base[b] + port];
-      if (next < 0) {
-        exit_token(tok, static_cast<std::uint32_t>(~next), res, cell, t_out,
-                   exited);
-        inject(tok.process);  // process immediately shepherds its next token
-      } else {
-        enqueue(static_cast<std::uint32_t>(next), tok, sched, res);
-      }
-    }
-    res.stalls_per_token = static_cast<double>(res.total_stalls) /
-                           static_cast<double>(res.tokens);
-    return res;
+    res_.max_queue = std::max<std::size_t>(res_.max_queue, size);
+    sched_->on_enqueue(b);
   }
-
- private:
-  void deliver(std::int32_t target, Token tok, Scheduler& sched,
-               SimResult& res, std::vector<seq::Value>& cell,
-               seq::Value t_out, std::size_t& exited) {
-    if (target < 0) {
-      // Degenerate wire straight to an output (e.g. width-1 networks).
-      exit_token(tok, static_cast<std::uint32_t>(~target), res, cell, t_out,
-                 exited);
-    } else {
-      enqueue(static_cast<std::uint32_t>(target), tok, sched, res);
-    }
-  }
-
-  void exit_token(Token tok, std::uint32_t out_pos, SimResult& res,
-                  std::vector<seq::Value>& cell, seq::Value t_out,
-                  std::size_t& exited) {
-    if (cfg_.collect_counter_values) {
-      res.counter_values.push_back(cell[out_pos]);
-    }
-    if (cfg_.collect_token_records) {
-      res.token_records[tok.record].exit_step = step_count_;
-      res.token_records[tok.record].value = cell[out_pos];
-    }
-    cell[out_pos] += t_out;
-    ++res.output_counts[out_pos];
-    ++exited;
-  }
-
-  void enqueue(std::uint32_t b, Token tok, Scheduler& sched, SimResult& res) {
-    queues_[b].push_back(tok);
-    if (queues_[b].size() == 1) add_nonempty(b);
-    res.max_queue = std::max(res.max_queue, queues_[b].size());
-    sched.on_enqueue(b);
-  }
-
-  void add_nonempty(std::uint32_t b) {
-    pos_in_nonempty_[b] = static_cast<std::uint32_t>(nonempty_.size());
-    nonempty_.push_back(b);
-  }
-
-  void remove_nonempty(std::uint32_t b) {
+  void drained(std::uint32_t b) {
     const std::uint32_t pos = pos_in_nonempty_[b];
     const std::uint32_t last = nonempty_.back();
     nonempty_[pos] = last;
     pos_in_nonempty_[last] = pos;
     nonempty_.pop_back();
-    pos_in_nonempty_[b] = kNone;
+  }
+  void exited(std::uint32_t token, std::uint32_t out, const TokenRecord& r) {
+    if (cfg_.collect_counter_values) res_.counter_values.push_back(r.value);
+    if (cfg_.collect_token_records) res_.token_records[token] = r;
+    ++res_.input_counts[r.process % net_.width_in()];
+    ++res_.output_counts[out];
   }
 
+  SimResult run(Scheduler& sched) {
+    sched_ = &sched;
+    sched.attach(*this);
+    res_.tokens = cfg_.total_tokens;
+    if (cfg_.collect_per_balancer) {
+      res_.stalls_per_balancer.assign(machine_.num_balancers(), 0);
+      res_.stalls_per_layer.assign(net_.depth(), 0);
+    }
+    if (cfg_.collect_counter_values) {
+      res_.counter_values.reserve(cfg_.total_tokens);
+    }
+    if (cfg_.collect_token_records) {
+      res_.token_records.resize(cfg_.total_tokens);
+    }
+    res_.input_counts.assign(net_.width_in(), 0);
+    res_.output_counts.assign(net_.width_out(), 0);
+
+    machine_.start(*this);
+    // Fire scheduler-chosen balancers until all tokens exited.
+    while (!machine_.finished()) {
+      const std::uint32_t b = sched.pick();
+      CNET_ENSURE(b < machine_.num_balancers() && machine_.queue_size(b) > 0,
+                  "scheduler picked an empty balancer");
+      const std::uint64_t waiters = machine_.fire(b, *this);
+      if (cfg_.collect_per_balancer) {
+        res_.stalls_per_balancer[b] += waiters;
+        res_.stalls_per_layer[layer_of(b) - 1] += waiters;
+      }
+    }
+    res_.total_stalls = machine_.stalls();
+    res_.stalls_per_token = static_cast<double>(res_.total_stalls) /
+                            static_cast<double>(res_.tokens);
+    return std::move(res_);
+  }
+
+ private:
   const topo::Topology& net_;
   const SimConfig cfg_;
   const topo::Routing routing_ = topo::compile_routing(net_);
-  std::vector<std::uint32_t> state_;  // next output port per balancer
-  std::vector<std::uint32_t> layer_;  // depth per balancer
-  std::vector<std::deque<Token>> queues_;
+  TokenMachine machine_;
+  Scheduler* sched_ = nullptr;
+  SimResult res_;
   std::vector<std::uint32_t> nonempty_;
   std::vector<std::uint32_t> pos_in_nonempty_;
-  std::uint64_t step_count_ = 0;  // global balancer transitions so far
 };
 
 }  // namespace

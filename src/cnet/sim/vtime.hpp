@@ -3,9 +3,10 @@
 // executor, one service-time draw, and one set of server models — the
 // central word as a queue-length-dependent FIFO server, the counting
 // network as per-balancer FIFO servers over the shared routing table, the
-// elimination slots and the adaptive swap — behind the CounterModel pool
-// interface. simulate_timed runs the network servers alone; the svc
-// simulators (multicore.hpp) compose them into model stacks.
+// elimination slots and the adaptive swap (windowed by a real
+// svc::LoadStats) — behind the CounterModel pool interface. simulate_timed
+// runs the network servers alone; the svc simulators (multicore.hpp)
+// compose them into model stacks.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 
 #include "cnet/sim/multicore.hpp"
 #include "cnet/svc/backend.hpp"
+#include "cnet/svc/load_stats.hpp"
 #include "cnet/svc/policy.hpp"
 #include "cnet/topology/routing.hpp"
 #include "cnet/topology/topology.hpp"
@@ -548,9 +550,9 @@ class ElimModel final : public CounterModel {
 // AdaptiveCounter in virtual time: ops run on the cold central model until
 // a sampled window of simulated stall events crosses the shared
 // svc::should_switch rule; the switch migrates the remaining pool into the
-// hot batched-network model at that exact virtual instant. Sampling
-// mirrors LoadStats (boundary crossing on the op tally) with the
-// single-threaded executor standing in for the sampler claim.
+// hot batched-network model at that exact virtual instant. The window is
+// the real svc::LoadStats probe; the executor is one thread, so every op
+// lands on slot 0 and the slot's boundary crossing is the tally's.
 class AdaptiveModel final : public CounterModel {
  public:
   AdaptiveModel(std::unique_ptr<CounterModel> cold,
@@ -559,7 +561,8 @@ class AdaptiveModel final : public CounterModel {
       : cold_(std::move(cold)),
         hot_(std::move(hot)),
         eng_(eng),
-        tuning_(tuning) {}
+        tuning_(tuning),
+        stats_(tuning.sample_interval) {}
 
   void increment_n(std::size_t core, std::uint64_t k, Done done) override {
     active().increment_n(core, k, [this, k, done = std::move(done)] {
@@ -623,7 +626,8 @@ class AdaptiveModel final : public CounterModel {
 
   bool switched() const { return switched_; }
   double switch_time() const { return switch_time_; }
-  std::uint64_t ops_at_switch() const { return ops_at_switch_; }
+  // The op tally stops at the switch (after_ops records no more).
+  std::uint64_t ops_at_switch() const { return switched_ ? stats_.ops() : 0; }
 
   // The force-eliminate actuation (AdaptiveCounter::force_switch's model
   // counterpart): take the cold→hot swap now regardless of the stall
@@ -642,7 +646,6 @@ class AdaptiveModel final : public CounterModel {
   void switch_now() {
     switched_ = true;
     switch_time_ = eng_.now();
-    ops_at_switch_ = ops_;
     migrate();  // exact migration
   }
 
@@ -658,23 +661,15 @@ class AdaptiveModel final : public CounterModel {
       migrate();
       return;
     }
-    const std::uint64_t before = ops_;
-    ops_ += n;
-    if (before / tuning_.sample_interval == ops_ / tuning_.sample_interval) {
-      return;  // no sample boundary crossed
-    }
-    // Refund-attributed stalls are excluded, clamped like LoadStats: the
-    // exclusion can make the adjusted total dip below the previous
-    // window's high-water mark, which must read as an empty delta.
-    const std::uint64_t total = cold_->stalls();
-    const std::uint64_t events_now =
-        total >= refund_stalls_ ? total - refund_stalls_ : 0;
-    const svc::LoadWindow window{
-        ops_ - last_ops_,
-        events_now >= last_events_ ? events_now - last_events_ : 0};
-    last_ops_ = ops_;
-    last_events_ = std::max(last_events_, events_now);
-    if (svc::should_switch(window, tuning_)) switch_now();
+    if (!stats_.record_ops(0, n)) return;  // no sample boundary crossed
+    // Refund-attributed stalls are excluded; the exclusion can make the
+    // adjusted total dip below the previous window's high-water mark,
+    // which the probe's clamp reads as an empty delta.
+    const auto window = stats_.sample([this] {
+      const std::uint64_t total = cold_->stalls();
+      return total >= refund_stalls_ ? total - refund_stalls_ : 0;
+    });
+    if (window && svc::should_switch(*window, tuning_)) switch_now();
   }
 
   std::unique_ptr<CounterModel> cold_, hot_;
@@ -682,8 +677,7 @@ class AdaptiveModel final : public CounterModel {
   svc::AdaptiveTuning tuning_;
   bool switched_ = false;
   double switch_time_ = -1.0;
-  std::uint64_t ops_ = 0, ops_at_switch_ = 0;
-  std::uint64_t last_ops_ = 0, last_events_ = 0;
+  svc::LoadStats stats_;
   std::uint64_t refund_stalls_ = 0;
 };
 

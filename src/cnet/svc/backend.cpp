@@ -118,6 +118,17 @@ std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
   return nullptr;
 }
 
+std::uint64_t migrate_pool(std::size_t thread_hint, rt::Counter& from,
+                           rt::Counter& to) {
+  constexpr std::uint64_t kChunk = 256;
+  std::uint64_t moved = 0;
+  while (const auto got = from.try_fetch_decrement_n(thread_hint, kChunk)) {
+    moved += got;
+  }
+  to.refund_n(thread_hint, moved);
+  return moved;
+}
+
 std::unique_ptr<rt::Counter> make_counter(const BackendSpec& spec,
                                           const BackendConfig& cfg) {
   auto counter = make_counter(spec.kind, cfg);

@@ -100,4 +100,13 @@ std::unique_ptr<rt::Counter> make_counter(BackendKind kind,
 std::unique_ptr<rt::Counter> make_counter(const BackendSpec& spec,
                                           const BackendConfig& cfg = {});
 
+// The exact pool migration behind every backend swap (AdaptiveCounter's
+// cold->hot switch, NetTokenBucket::respec): drains `from` to zero in
+// bounded chunks, then re-injects the count into `to` through refund_n —
+// a give-back, not organic load, so an adaptive `to` keeps it out of its
+// switch window. Call it only once no other op can touch `from` (after
+// the swap's reader quiescence). Returns the tokens moved.
+std::uint64_t migrate_pool(std::size_t thread_hint, rt::Counter& from,
+                           rt::Counter& to);
+
 }  // namespace cnet::svc

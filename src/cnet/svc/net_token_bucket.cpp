@@ -109,16 +109,7 @@ std::uint64_t NetTokenBucket::respec(std::size_t thread_hint, const Respec& r) {
       std::move(next), [&](PoolState& old_state, PoolState& new_state) {
         // Post-quiescence: no consume/refill/refund can touch the old pool
         // again, so its remaining count is exactly what the drain reclaims.
-        // Tokens move in bounded chunks and are re-injected through
-        // refund_n — migration is a give-back, not organic refill load, so
-        // an adaptive replacement pool's switch probe ignores it.
-        std::uint64_t moved = 0;
-        constexpr std::uint64_t kChunk = 256;
-        for (std::uint64_t got; (got = old_state.pool->try_fetch_decrement_n(
-                                     thread_hint, kChunk)) != 0;) {
-          moved += got;
-        }
-        new_state.pool->refund_n(thread_hint, moved);
+        migrate_pool(thread_hint, *old_state.pool, *new_state.pool);
         // Roll the retired pool's (now final) telemetry into the cumulative
         // totals so windowed monitors never observe a regressing count.
         retired_stalls_.fetch_add(old_state.pool->stall_count(),

@@ -154,10 +154,9 @@ OverloadTier OverloadManager::evaluate() {
     registry_walkers_.store(1, std::memory_order_seq_cst);
 #endif
     for (std::size_t i = 0; i < monitors_.size(); ++i) {
-      const double p = clamp_pressure(monitors_[i]->sample_pressure());
-      last_pressures_[i] = p;
-      if (p > combined) combined = p;
+      last_pressures_[i] = clamp_pressure(monitors_[i]->sample_pressure());
     }
+    combined = combine_pressure(last_pressures_);
 #if defined(CNET_SCHED_CHECK)
     registry_walkers_.store(0, std::memory_order_seq_cst);
 #endif

@@ -93,6 +93,20 @@ TEST(DistLeases, ExpirySettlesExactlyOnceAndIsNeverRevived) {
             cluster.total_initial_tokens());
 }
 
+TEST(DistLeases, DrainIsExactAfterRefillsPastTheInitialTotal) {
+  // Refills can push a pool past the constructed total; the end-of-run
+  // drains must still take every token, not one consume's worth.
+  PeerCluster cluster(Topology({{0, 0}, {0, 0}}), small_config());
+  const std::uint64_t total = cluster.total_initial_tokens();
+  ASSERT_EQ(total, 300u);
+  cluster.global().parent().refill(0, 3 * total);
+  ASSERT_EQ(cluster.renew(0, 1, 100), 100u);
+  EXPECT_EQ(cluster.drain_local(0, 1), 100u);
+  EXPECT_EQ(cluster.drain_global(0), 4 * total - 100);
+  EXPECT_EQ(cluster.drain_local(0, 1), 0u);
+  EXPECT_EQ(cluster.drain_global(0), 0u);
+}
+
 TEST(DistLeases, DonatedLeaseKeepsDonorGrantPartsAndSettlesToDonor) {
   ClusterConfig cfg = small_config();
   cfg.lease_chunk = 50;  // so a want of 50 asks for exactly 50

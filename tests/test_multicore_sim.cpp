@@ -440,5 +440,43 @@ TEST(MulticoreSim, RejectsWhenThePoolRunsDry) {
   EXPECT_TRUE(r.conserved);
 }
 
+TEST(ClusterSim, GoldenSeedReferenceCell) {
+  // bench_tab_dist's Table G' partition cell (smoke size), every result
+  // field pinned: short-TTL churn on the 6-node reference topology with
+  // two scripted partitions, so renewal, donation carve, expiry refund,
+  // debt escrow and the bounded heal reconcile all carry real tokens.
+  ClusterSimConfig cfg = cluster_sim_reference_config(6);
+  cfg.ops_per_core = 96;
+  cfg.lease_ttl = 12.0;
+  cfg.partitions.push_back({1, 42.0, 300.0});
+  cfg.partitions.push_back({4, 90.0, 340.0});
+  const auto r =
+      simulate_cluster({svc::BackendKind::kBatchedNetwork, false}, cfg);
+  EXPECT_DOUBLE_EQ(r.makespan, 666.17037899563536);
+  EXPECT_EQ(r.attempts, 1728u);  // 6 nodes x 3 cores x 96 ops
+  EXPECT_EQ(r.admitted, 1476u);
+  EXPECT_EQ(r.rejected, 252u);
+  EXPECT_EQ(r.spent, 1476u);
+  EXPECT_EQ(r.renewals, 54u);
+  EXPECT_EQ(r.renewal_tokens, 4536u);
+  EXPECT_EQ(r.donations, 28u);
+  EXPECT_EQ(r.donated_tokens, 1380u);
+  EXPECT_EQ(r.expiries, 79u);
+  EXPECT_EQ(r.expiry_recovered, 3444u);
+  EXPECT_EQ(r.expiry_refunded, 3444u);
+  EXPECT_EQ(r.debt_created, 96u);
+  EXPECT_EQ(r.debt_reconciled, 96u);
+  EXPECT_EQ(r.partition_global_touches, 0u);
+  EXPECT_EQ(r.initial_tokens, 3968u);
+  EXPECT_EQ(r.final_parent_pool, 1714);
+  EXPECT_EQ(r.final_account_tokens, 778);
+  EXPECT_EQ(r.final_local_tokens, 0);
+  EXPECT_TRUE(r.conserved);
+  EXPECT_TRUE(r.debt_settled);
+  EXPECT_DOUBLE_EQ(r.p50_admission, 0.15169646055558417);
+  EXPECT_DOUBLE_EQ(r.p99_admission, 116.95227402007643);
+  EXPECT_EQ(r.parent_stalls, 14u);
+}
+
 }  // namespace
 }  // namespace cnet::sim

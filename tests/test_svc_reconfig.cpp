@@ -268,9 +268,13 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
 
   std::atomic<std::uint64_t> consumed{0}, refilled{0};
   std::atomic<bool> stop{false};
+  // Workers start only after the first respec has committed, so at least
+  // one commit always lands before the worker traffic can finish.
+  std::latch first_respec_done{1};
   std::vector<std::thread> threads;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     threads.emplace_back([&, w] {
+      first_respec_done.wait();
       for (std::uint64_t i = 0; i < kRounds; ++i) {
         bucket.refill(w, 3);
         refilled.fetch_add(3, std::memory_order_relaxed);
@@ -288,6 +292,7 @@ TEST(ReconfigHammer, BucketConservesTokensUnderConcurrentRespecs) {
         const BackendSpec& spec = specs[i++ % specs.size()];
         bucket.respec(kWorkers + r,
                       {spec, BackendConfig{}, 1 + (i * 37) % 256});
+        if (r == 0 && i == 1) first_respec_done.count_down();
       }
     });
   }

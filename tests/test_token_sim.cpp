@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 
 #include "cnet/baselines/bitonic.hpp"
 #include "cnet/baselines/difftree.hpp"
 #include "cnet/core/counting.hpp"
+#include "cnet/sim/model_check.hpp"
 #include "cnet/sim/schedulers.hpp"
 #include "cnet/topology/quiescent.hpp"
 #include "test_util.hpp"
@@ -158,6 +160,47 @@ TEST(TokenSim, CollectionFlagsRespected) {
   EXPECT_TRUE(res.counter_values.empty());
   EXPECT_TRUE(res.stalls_per_balancer.empty());
   EXPECT_EQ(seq::sum(res.output_counts), 10);
+}
+
+// Pass-through wires: a token that enters on a balancer-free wire exits at
+// injection, and its process must inject its next token right away. Both
+// token-level entry points run the one step machine, so they agree.
+void expect_exact_everywhere(const topo::Topology& net, std::size_t procs,
+                             std::size_t tokens) {
+  for (const SchedulerKind kind :
+       {SchedulerKind::kRandom, SchedulerKind::kRoundRobin,
+        SchedulerKind::kWavefrontConvoy, SchedulerKind::kGreedyMaxQueue}) {
+    SCOPED_TRACE(scheduler_name(kind));
+    const auto sched = make_scheduler(kind, 7);
+    const auto res = simulate(
+        net, {.concurrency = procs, .total_tokens = tokens}, *sched);
+    EXPECT_TRUE(test::is_exact_range(res.counter_values));
+    EXPECT_EQ(seq::sum(res.output_counts), static_cast<seq::Value>(tokens));
+  }
+  const auto mc = explore_all_executions(
+      net, {.concurrency = procs, .total_tokens = tokens});
+  EXPECT_EQ(mc.executions, 1u);
+  EXPECT_TRUE(mc.all_exact);
+}
+
+TEST(TokenSim, PassThroughWireReinjectsItsProcess) {
+  // One wire, no balancers: every token exits at injection.
+  topo::Builder b;
+  const auto in = b.add_network_inputs(1);
+  b.set_outputs(in);
+  expect_exact_everywhere(std::move(b).build(), 1, 3);
+}
+
+TEST(TokenSim, BalancerPlusPassThroughWireIsExact) {
+  // Wire 0 through a (1,1)-balancer to output 1, wire 1 straight to
+  // output 0. Process 1 takes tokens 1 and 2 at injection (values 0, 2);
+  // process 0's queued token takes value 1.
+  topo::Builder b;
+  const auto in = b.add_network_inputs(2);
+  const auto out = b.add_balancer(std::span(in).first(1), 1);
+  const topo::WireId outs[2] = {in[1], out[0]};
+  b.set_outputs(outs);
+  expect_exact_everywhere(std::move(b).build(), 2, 3);
 }
 
 }  // namespace
