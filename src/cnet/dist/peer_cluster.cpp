@@ -70,9 +70,9 @@ std::uint64_t PeerCluster::admit(std::size_t thread_hint, std::size_t node,
   NodeState& ns = node_state(node);
   // Degrade is decided here, per node, so the caller learns the exact
   // partial charge — the same contract as AdmissionController::admit.
-  const bool degrade = ns.overload->actions().degrade_to_partial;
   const std::uint64_t got = ns.local->consume(
-      thread_hint, cost, degrade ? svc::kPartialOk : svc::kAllOrNothing);
+      thread_hint, cost,
+      svc::settle_options(ns.overload->actions(), svc::kAllOrNothing));
   if (got > 0) {
     ns.spent.fetch_add(got, std::memory_order_relaxed);
     ns.balance.fetch_sub(static_cast<std::int64_t>(got),
@@ -166,8 +166,8 @@ void PeerCluster::refund_expired(std::size_t thread_hint,
   const ExpiryRefund split = lease_expiry_refund(
       parts.from_child, parts.from_parent, expired.recovered);
   const svc::QuotaHierarchy::Grant grant{
-      true, static_cast<std::uint32_t>(expired.tenant), parts.from_child,
-      parts.from_parent};
+      {true, parts.from_child, parts.from_parent},
+      static_cast<std::uint32_t>(expired.tenant)};
   global_->settle_spent(thread_hint, grant, split.refund_child,
                         split.refund_parent);
   expiry_refunded_.fetch_add(expired.recovered, std::memory_order_relaxed);

@@ -20,8 +20,8 @@ using vtime::CounterModel;
 using vtime::Engine;
 using vtime::ModelStack;
 
-// The Table B workload, one closed loop per core: consume(1) through the
-// shared svc::bucket_consume plan, a bulk refill every refill_every
+// The Table B workload, one closed loop per core: consume(1) as one
+// bounded claim on the pool model, a bulk refill every refill_every
 // consumes, think_time between ops. `issue()` returns the pool model the op
 // issuing now runs on plus a tag that `complete(tag)` receives first thing
 // when that op completes. Fills res's consume_ops / consumed / rejected /
@@ -40,22 +40,15 @@ void run_bucket_loop(Engine& eng, const MulticoreConfig& cfg, Result& res,
   std::function<void(std::size_t)> step = [&](std::size_t c) {
     if (cores[c].ops_done == cfg.ops_per_core) return;
     const auto [model, tag] = issue();
-    // consume(1): the single-token plan degenerates to one bounded claim —
-    // run through bucket_consume so the simulator exercises the identical
-    // policy the real NetTokenBucket does.
+    // consume(1): one bounded claim that yields 0 or 1, so there is no
+    // partial grab to settle or refund.
     model->try_decrement_n(c, 1, [&, c, tag](std::uint64_t got) {
       complete(tag);
-      const std::uint64_t granted = svc::bucket_consume(
-          1, svc::kPartialOk,
-          [got](std::uint64_t) mutable {
-            return std::exchange(got, std::uint64_t{0});
-          },
-          [](std::uint64_t) {});
       CoreState& me = cores[c];
       ++res.consume_ops;
       ++me.ops_done;
-      res.consumed += granted;
-      if (granted == 0) ++res.rejected;
+      res.consumed += got;
+      if (got == 0) ++res.rejected;
       res.makespan = std::max(res.makespan, eng.now());
       const bool refill_due = ++me.since_refill == cfg.refill_every;
       if (refill_due) me.since_refill = 0;

@@ -100,8 +100,7 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   } else {
     parent.inject_pool_now(res.initial_tokens);
   }
-  std::vector<std::int64_t> account(
-      n, cfg.leased ? static_cast<std::int64_t>(cfg.account_initial) : 0);
+  std::vector<std::uint64_t> account(n, cfg.leased ? cfg.account_initial : 0);
   std::vector<std::int64_t> local(
       n, cfg.leased ? static_cast<std::int64_t>(cfg.local_initial) : 0);
   std::vector<std::uint64_t> borrowed(n, 0);
@@ -148,21 +147,65 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   vtime::ServiceDraw local_draw(cfg.local_service,
                                 cfg.base.exponential_service, rng);
 
+  // The coordinator's two-level quota steps the svc::QuotaPlan that
+  // QuotaHierarchy steps: the tenant node's lease account is an instant
+  // child pool, the reservation is its `borrowed` word, and the parent
+  // takes and puts go through the parent model with the tenant as thread
+  // hint. Grants decide partial, as PeerCluster::renew asks.
+  using Finished = std::function<void(const svc::QuotaOutcome&)>;
+  std::function<void(std::size_t, svc::QuotaPlan, Finished)> coordinate =
+      [&](std::size_t tenant, svc::QuotaPlan plan, Finished after) {
+        for (svc::QuotaStep s = plan.next(); s.op != svc::QuotaOp::kDone;
+             s = plan.next()) {
+          auto resume = [&, tenant, plan,
+                         after](std::uint64_t got = 0) mutable {
+            plan.done(got);
+            coordinate(tenant, plan, std::move(after));
+          };
+          switch (s.op) {
+            case svc::QuotaOp::kTake: {
+              if (s.parent) {
+                parent.try_decrement_n(tenant, s.n, std::move(resume));
+                return;
+              }
+              const std::uint64_t got = std::min(s.n, account[tenant]);
+              account[tenant] -= got;
+              plan.done(got);
+              break;
+            }
+            case svc::QuotaOp::kPut:
+              if (s.parent) {
+                parent.refund_n(tenant, s.n, std::move(resume));
+                return;
+              }
+              account[tenant] += s.n;
+              plan.done();
+              break;
+            case svc::QuotaOp::kReserve:
+            case svc::QuotaOp::kUnreserve:
+              plan.book(borrowed[tenant], borrow_limit);
+              break;
+            case svc::QuotaOp::kDecide:
+              plan.decide(svc::kPartialOk);
+              break;
+            case svc::QuotaOp::kDone: break;
+          }
+        }
+        after(plan.result());
+      };
+
   // One expiry/debt refund landing at the coordinator: the exact
-  // lease_expiry_refund split the live ledger applies via settle_spent —
-  // child part to the lease account, parent part home to the pool, the
-  // whole borrow headroom freed.
+  // lease_expiry_refund split the live ledger applies via settle_spent.
   const auto apply_refund = [&](const Ledger::Debt& d, bool is_debt) {
     const dist::ExpiryRefund split = dist::lease_expiry_refund(
         d.parts.from_child, d.parts.from_parent, d.recovered);
-    account[d.tenant] += static_cast<std::int64_t>(split.refund_child);
-    if (d.parts.from_parent > 0) borrowed[d.tenant] -= d.parts.from_parent;
     res.expiry_refunded += d.recovered;
     if (is_debt) res.debt_reconciled += d.recovered;
-    touch();
-    if (split.refund_parent > 0) {
-      parent.refund_n(d.tenant, split.refund_parent, [&] { touch(); });
-    }
+    coordinate(d.tenant,
+               svc::QuotaPlan::settle(
+                   {true, d.parts.from_child, d.parts.from_parent},
+                   split.refund_child, split.refund_parent),
+               [&](const svc::QuotaOutcome&) { touch(); });
   };
 
   // Lease expiry: events re-arm while renewals keep extending the expiry
@@ -272,46 +315,22 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
           renew_finish(op);
           return;
         }
-        const auto avail = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(account[node], 0));
-        const std::uint64_t got_child = std::min(ask, avail);
-        account[node] -= static_cast<std::int64_t>(got_child);
-        const std::uint64_t shortfall = ask - got_child;
-        const std::uint64_t reserved =
-            svc::borrow_allowance(shortfall, borrowed[node], borrow_limit);
-        borrowed[node] += reserved;
-        const auto granted = [&, node, ask, op](std::uint64_t got_child2,
-                                                std::uint64_t got_parent,
-                                                std::uint64_t reserved2) {
-          borrowed[node] -= reserved2 - got_parent;
-          const svc::QuotaSettlement s = svc::quota_settle(
-              ask, got_child2, got_parent, svc::kPartialOk);
-          CNET_ENSURE(s.refund_child == 0 && s.refund_parent == 0,
-                      "partial-ok settle refunded");
-          const std::uint64_t total = got_child2 + got_parent;
-          eng.at(eng.now() + uplat(node), [&, node, got_child2, got_parent,
-                                           total, op] {
-            if (total > 0) {
-              add_lease(node, node, {got_child2, got_parent});
-              local[node] += static_cast<std::int64_t>(total);
-              ++res.renewals;
-              res.renewal_tokens += total;
-            }
-            op->gained += total;
-            --op->pending;
-            touch();
-            renew_finish(op);
-          });
-        };
-        if (reserved > 0) {
-          parent.try_decrement_n(
-              node, reserved,
-              [&, node, got_child, reserved, granted](std::uint64_t got) {
-                granted(got_child, got, reserved);
-              });
-        } else {
-          granted(got_child, 0, 0);
-        }
+        coordinate(node, svc::QuotaPlan::acquire(ask),
+                   [&, node, op](const svc::QuotaOutcome& g) {
+                     eng.at(eng.now() + uplat(node), [&, node, g, op] {
+                       const std::uint64_t total = g.tokens();
+                       if (total > 0) {
+                         add_lease(node, node, {g.from_child, g.from_parent});
+                         local[node] += static_cast<std::int64_t>(total);
+                         ++res.renewals;
+                         res.renewal_tokens += total;
+                       }
+                       op->gained += total;
+                       --op->pending;
+                       touch();
+                       renew_finish(op);
+                     });
+                   });
       });
     }
     op->issued = true;
@@ -421,10 +440,10 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   bool conserved = !parent.pool_ever_negative();
   std::int64_t held = res.final_parent_pool;
   for (std::size_t i = 0; i < n; ++i) {
-    res.final_account_tokens += account[i];
+    res.final_account_tokens += static_cast<std::int64_t>(account[i]);
     res.final_local_tokens += local[i];
-    held += account[i] + local[i];
-    conserved = conserved && account[i] >= 0 && local[i] >= 0 &&
+    held += static_cast<std::int64_t>(account[i]) + local[i];
+    conserved = conserved && local[i] >= 0 &&
                 borrowed[i] == 0 && ledgers[i].escrowed() == 0 &&
                 !ledgers[i].has_debt() && ledgers[i].active_leases() == 0;
   }

@@ -28,8 +28,8 @@
 //     op waits elim_wait before withdrawing, an opposite-role arrival
 //     pairs with it (value from svc::elimination_pair_value) and neither
 //     touches the backend;
-//   - NetTokenBucket       -> the pool count driven through
-//     svc::bucket_consume, bounded at zero at every event;
+//   - NetTokenBucket       -> the pool count, claimed one token at a
+//     time and bounded at zero at every event;
 //   - AdaptiveCounter      -> cold central / hot batched-network pair whose
 //     switch fires off svc::should_switch over svc::LoadStats windows of
 //     simulated stall events, migrating the pool exactly at the switch
@@ -138,10 +138,12 @@ MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
 // acquire → hold → release loop against per-tenant child pool models and
 // one shared parent pool model built from `parent_spec`. Hot/cold skew
 // pins `hot_core_share` of the cores to the first `hot_tenants` tenants.
-// The borrow decisions are the same pure rules the real hierarchy runs
-// (svc::borrow_allowance / quota_settle from svc/policy.hpp), driven in
-// continuation-passing form, and releases return each grant part to the
-// level it came from through the models' probe-invisible refund path.
+// Every acquire, release and shed refund steps the svc::QuotaPlan the real
+// hierarchy steps (svc/policy.hpp), with the all-or-nothing
+// borrow_reservation rule and the decision taken under the overload tier
+// in force at that instant; give-backs go through the models'
+// probe-invisible refund path, chunked by the shrink-batch divisor (a
+// sim-only divergence: the live NetTokenBucket::refund is never divided).
 struct QuotaSimConfig {
   ModelConfig base;
 
@@ -405,10 +407,12 @@ std::vector<svc::BackendSpec> multicore_sweep_specs();
 // FIFO latency servers whose service time depends on dc/rack proximity.
 // Every decision runs the exact rules the live tier runs: lease_grant /
 // lease_expiry_refund / debt_reconcile / renewal_target / peer_surplus /
-// lease_carve from dist/policy.hpp over the real dist::Topology walk, and
-// borrow_allowance / quota_settle from svc/policy.hpp for the coordinator's
-// two-level grants. Each node's leases live in a real dist::LeaseLedger,
-// the same lease book PeerCluster keeps per node.
+// lease_carve from dist/policy.hpp over the real dist::Topology walk. The
+// coordinator's global grants and expiry/debt refunds step the
+// svc::QuotaPlan QuotaHierarchy steps, with each node's lease account as
+// an instant child pool, so a renewal borrows all of its shortfall or
+// none. Each node's leases live in a real dist::LeaseLedger, the same
+// lease book PeerCluster keeps per node.
 //
 // Workload: each node core runs a closed admit(1) loop against its node's
 // local pool. In leased mode an empty pool triggers a lease renewal —

@@ -23,12 +23,11 @@ using vtime::CounterModel;
 using vtime::Done;
 using vtime::Engine;
 
-// The svc::QuotaHierarchy workload in continuation-passing form: each core
-// runs svc::quota_acquire's rule set — the child take, the
-// borrow_allowance reservation, the parent take, and a quota_settle that
-// either keeps both parts or refunds each to its own level — then holds
-// the grant and releases each part to the level it came from. `actions`
-// is the overload tier in force (nominal unless a manager changes it); the
+// The svc::QuotaHierarchy workload in virtual time: each core steps the
+// same svc::QuotaPlan the live hierarchy steps — acquire, hold, then the
+// settle plan that returns each part to the level it came from — over
+// per-tenant child models and the shared parent model. `actions` is the
+// overload tier in force (nominal unless a manager changes it); the
 // registry of held grants is what a shed sweep force-refunds.
 class QuotaFlow {
  public:
@@ -89,22 +88,16 @@ class QuotaFlow {
 
     // Weighted borrow limits, from the same shared rule the real hierarchy
     // applies at construction.
-    std::uint64_t total_weight = 0;
     weights.resize(cfg.tenants);
     for (std::size_t t = 0; t < cfg.tenants; ++t) {
       weights[t] = t < cfg.hot_tenants ? cfg.hot_weight : cfg.cold_weight;
-      total_weight += weights[t];
     }
+    res.limit_per_tenant = svc::reweigh_limits(cfg.borrow_budget, weights);
+    for (const std::uint64_t limit : res.limit_per_tenant) total_limit += limit;
     res.attempts_per_tenant.assign(cfg.tenants, 0);
     res.admitted_per_tenant.assign(cfg.tenants, 0);
-    res.limit_per_tenant.resize(cfg.tenants);
     res.peak_borrowed_per_tenant.assign(cfg.tenants, 0);
     shed_rejects_per_tenant.assign(cfg.tenants, 0);
-    for (std::size_t t = 0; t < cfg.tenants; ++t) {
-      res.limit_per_tenant[t] = svc::weighted_borrow_limit(
-          cfg.borrow_budget, weights[t], total_weight);
-      total_limit += res.limit_per_tenant[t];
-    }
   }
 
   // Scheduled events capture `this`.
@@ -142,7 +135,7 @@ class QuotaFlow {
                         borrowed[t] == 0;
     }
     res.conserved = quiescent_exact;
-    res.isolation = !cap_violated_ && res.cold_rejected == 0;
+    res.isolation = res.cold_rejected == 0;
 
     for (const std::size_t ops : cores_) {
       CNET_ENSURE(ops == cfg_.ops_per_core, "simulated core finished early");
@@ -161,8 +154,8 @@ class QuotaFlow {
         Grant& g = grants_[idx];
         if (g.released) continue;
         g.released = true;
-        shed_refunded_tokens += g.from_child + g.from_parent;
-        refund_grant(/*core=*/t, idx, [this] { touch(); });
+        shed_refunded_tokens += g.tokens();
+        release(/*c=*/t, idx, [] {});
       }
       held_[t].clear();
     }
@@ -201,12 +194,11 @@ class QuotaFlow {
   // set and doing nothing. (The engine cannot cancel scheduled events, so
   // the flag is the cancellation.) Deque: references stay valid across
   // push_back, which the in-flight continuations rely on.
-  struct Grant {
+  struct Grant : svc::QuotaOutcome {
     std::size_t tenant = 0;
-    std::uint64_t from_child = 0;
-    std::uint64_t from_parent = 0;
     bool released = false;
   };
+  using After = std::function<void(const svc::QuotaOutcome&)>;
 
   void touch() { makespan_ = std::max(makespan_, eng.now()); }
   void next(std::size_t c, double at) {
@@ -230,102 +222,71 @@ class QuotaFlow {
                     });
   }
 
-  // Refund a grant's parts to the level each came from: child first, then
-  // parent pool, then the borrow headroom — the real release's ordering.
-  void refund_grant(std::size_t c, std::size_t idx, Done after) {
-    const Grant g = grants_[idx];  // parts are fixed at admit time
-    auto parent_part = [this, c, t = g.tenant, fp = g.from_parent,
-                        after = std::move(after)] {
-      if (fp == 0) {
-        touch();
-        after();
-        return;
+  // Steps `plan` for tenant t with core c as the models' thread hint:
+  // takes and puts go through the models (puts chunked, as above), the
+  // reservation and its release act on `borrowed` at once, and the
+  // decision reads the tier in force at that instant — the same point
+  // QuotaHierarchy reads OverloadManager::actions() — and tallies the
+  // attempt. after(result) runs once the plan is finished.
+  void run(std::size_t c, std::size_t t, svc::QuotaPlan plan, After after) {
+    for (svc::QuotaStep s = plan.next(); s.op != svc::QuotaOp::kDone;
+         s = plan.next()) {
+      CounterModel* pool = s.parent ? &parent : children[t].get();
+      auto resume = [this, c, t, plan, after](std::uint64_t got = 0) mutable {
+        plan.done(got);
+        run(c, t, plan, std::move(after));
+      };
+      switch (s.op) {
+        case svc::QuotaOp::kTake:
+          pool->try_decrement_n(c, s.n, std::move(resume));
+          return;
+        case svc::QuotaOp::kPut:
+          refund_chunked(pool, c, s.n, std::move(resume));
+          return;
+        case svc::QuotaOp::kReserve:
+        case svc::QuotaOp::kUnreserve:
+          plan.book(borrowed[t], res.limit_per_tenant[t]);
+          res.peak_borrowed_per_tenant[t] =
+              std::max(res.peak_borrowed_per_tenant[t], borrowed[t]);
+          break;
+        case svc::QuotaOp::kDecide:
+          plan.decide(svc::settle_options(actions, svc::kAllOrNothing));
+          tally(c, t, plan.result());
+          break;
+        case svc::QuotaOp::kDone: break;
       }
-      refund_chunked(&parent, c, fp, [this, t, fp, after] {
-        borrowed[t] -= fp;
-        touch();
-        after();
-      });
-    };
-    if (g.from_child > 0) {
-      refund_chunked(children[g.tenant].get(), c, g.from_child,
-                     std::move(parent_part));
-    } else {
-      parent_part();
     }
+    touch();
+    after(plan.result());
   }
 
-  // Settlement through the shared rule, with the tier's degrade action
-  // deciding partial_ok at the instant the takes complete — the same
-  // point QuotaHierarchy::acquire reads OverloadManager::actions().
-  void settle(std::size_t c, std::size_t t, std::uint64_t got_child,
-              std::uint64_t got_parent, std::uint64_t reserved) {
-    touch();
+  void tally(std::size_t c, std::size_t t, const svc::QuotaOutcome& out) {
     ++res.acquire_ops;
     ++res.attempts_per_tenant[t];
     ++cores_[c];
-    const svc::QuotaSettlement s = svc::quota_settle(
-        cfg_.acquire_cost, got_child, got_parent,
-        actions.degrade_to_partial ? svc::kPartialOk : svc::kAllOrNothing);
-    if (s.admitted) {
-      ++res.admitted;
-      ++res.admitted_per_tenant[t];
-      res.granted_child_tokens += got_child;
-      res.granted_parent_tokens += got_parent;
-      if (got_child + got_parent < cfg_.acquire_cost) ++degraded_admits;
-      // A degraded admit may hold a reservation larger than the parent
-      // tokens it claimed; give the unused headroom back (quota_acquire's
-      // partial-path unreserve) so outstanding borrow == from_parent.
-      if (reserved > got_parent) borrowed[t] -= reserved - got_parent;
-      const std::size_t idx = grants_.size();
-      grants_.push_back({t, got_child, got_parent, false});
-      held_[t].push_back(idx);
-      // Hold the grant, then release it; the next attempt follows the
-      // release completion plus think time.
-      eng.at(eng.now() + cfg_.hold_time, [this, c, idx] {
-        Grant& g = grants_[idx];
-        if (g.released) {  // force-refunded by a shed sweep meanwhile
-          touch();
-          next(c, eng.now() + cfg_.think_time);
-          return;
-        }
-        g.released = true;
-        refund_grant(c, idx,
-                     [this, c] { next(c, eng.now() + cfg_.think_time); });
-      });
+    if (!out.admitted) {
+      ++res.rejected;
+      ++(t < cfg_.hot_tenants ? res.hot_rejected : res.cold_rejected);
       return;
     }
-    ++res.rejected;
-    if (t < cfg_.hot_tenants) {
-      ++res.hot_rejected;
-    } else {
-      ++res.cold_rejected;
-    }
-    auto refund_child = [this, c, t, got_child] {
-      if (got_child == 0) {
-        next(c, eng.now() + cfg_.think_time);
-        return;
-      }
-      refund_chunked(children[t].get(), c, got_child, [this, c] {
-        touch();
-        next(c, eng.now() + cfg_.think_time);
-      });
-    };
-    // Pool before headroom (quota_acquire's reject ordering): the
-    // reservation is released only once the parent refund has landed.
-    if (s.refund_parent > 0) {
-      refund_chunked(&parent, c, s.refund_parent,
-                     [this, t, reserved, refund_child] {
-                       if (reserved > 0) borrowed[t] -= reserved;
-                       touch();
-                       refund_child();
-                     });
-    } else {
-      if (reserved > 0) borrowed[t] -= reserved;
-      refund_child();
-    }
+    ++res.admitted;
+    ++res.admitted_per_tenant[t];
+    res.granted_child_tokens += out.from_child;
+    res.granted_parent_tokens += out.from_parent;
+    if (out.tokens() < cfg_.acquire_cost) ++degraded_admits;
   }
 
+  // A grant's end: every part back to the level it came from, through the
+  // same settle plan QuotaHierarchy::release steps.
+  void release(std::size_t c, std::size_t idx, Done after) {
+    const Grant& g = grants_[idx];
+    run(c, g.tenant, svc::QuotaPlan::settle(g, g.from_child, g.from_parent),
+        [after = std::move(after)](const svc::QuotaOutcome&) { after(); });
+  }
+
+  // One attempt: the acquire plan, then on admit a held grant whose hold
+  // expiry releases it; the next attempt follows the release (or the
+  // reject) plus think time.
   void step(std::size_t c) {
     if (cores_[c] == cfg_.ops_per_core) {
       --active_cores;
@@ -344,33 +305,28 @@ class QuotaFlow {
       next(c, eng.now() + cfg_.think_time);
       return;
     }
-    children[t]->try_decrement_n(
-        c, cfg_.acquire_cost, [this, c, t](std::uint64_t got_child) {
-          if (got_child == cfg_.acquire_cost) {
-            settle(c, t, got_child, 0, 0);
+    run(c, t, svc::QuotaPlan::acquire(cfg_.acquire_cost),
+        [this, c, t](const svc::QuotaOutcome& out) {
+          if (!out.admitted) {
+            next(c, eng.now() + cfg_.think_time);
             return;
           }
-          const std::uint64_t shortfall = cfg_.acquire_cost - got_child;
-          const std::uint64_t reserved = svc::borrow_allowance(
-              shortfall, borrowed[t], res.limit_per_tenant[t]);
-          if (reserved < shortfall) {
-            // Commit-only-if-full, like reserve_borrow; the degraded path
-            // still settles partially off the child part alone.
-            settle(c, t, got_child, 0, 0);
-            return;
-          }
-          borrowed[t] += reserved;
-          res.peak_borrowed_per_tenant[t] =
-              std::max(res.peak_borrowed_per_tenant[t], borrowed[t]);
-          if (borrowed[t] > res.limit_per_tenant[t]) cap_violated_ = true;
-          parent.try_decrement_n(
-              c, shortfall,
-              [this, c, t, got_child, reserved](std::uint64_t got_parent) {
-                settle(c, t, got_child, got_parent, reserved);
-              });
+          const std::size_t idx = grants_.size();
+          grants_.push_back({out, t, false});
+          held_[t].push_back(idx);
+          eng.at(eng.now() + cfg_.hold_time, [this, c, idx] {
+            Grant& g = grants_[idx];
+            if (g.released) {  // force-refunded by a shed sweep meanwhile
+              touch();
+              next(c, eng.now() + cfg_.think_time);
+              return;
+            }
+            g.released = true;
+            release(c, idx,
+                    [this, c] { next(c, eng.now() + cfg_.think_time); });
+          });
         });
   }
-
   std::vector<std::size_t> tenant_of_;
   std::deque<Grant> grants_;
   // Per-tenant indices of possibly-live grants, cleaned lazily (a shed
@@ -379,7 +335,6 @@ class QuotaFlow {
   std::vector<char> shed_flag_;
   std::vector<std::size_t> cores_;  // ops done per core
   double makespan_ = 0.0;
-  bool cap_violated_ = false;
 };
 
 }  // namespace

@@ -46,14 +46,14 @@ AdmissionController::Ticket AdmissionController::admit(
   // The degrade decision is made here, not inside the bucket: only the
   // admission layer can hand the caller the exact partial charge, and a
   // silently partial bucket would leak tokens through every all-or-nothing
-  // caller that compares the result against `cost`.
-  const bool degrade =
-      overload_ != nullptr && overload_->actions().degrade_to_partial;
-  const std::uint64_t charged = bucket_.consume(
-      thread_hint, cost, degrade ? kPartialOk : kAllOrNothing);
-  if (degrade ? charged == 0 : charged != cost) {
-    return ticket;  // rejected, nothing charged, no ID burned
-  }
+  // caller that compares the result against `cost`. Either way 0 is the
+  // one reject: an all-or-nothing consume returns 0 or cost.
+  const ConsumeOptions opts =
+      overload_ == nullptr
+          ? kAllOrNothing
+          : settle_options(overload_->actions(), kAllOrNothing);
+  const std::uint64_t charged = bucket_.consume(thread_hint, cost, opts);
+  if (charged == 0) return ticket;  // rejected, nothing charged, no ID burned
   ticket.admitted = true;
   ticket.charged = charged;
   ticket.request_id = ids_.allocate(thread_hint);

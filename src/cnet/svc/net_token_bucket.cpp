@@ -42,15 +42,14 @@ std::uint64_t NetTokenBucket::consume(std::size_t thread_hint,
           // refill.
           return state.pool->try_fetch_decrement(thread_hint) ? 1 : 0;
         }
-        // The grab/refund plan is the shared svc::bucket_consume policy (the
-        // virtual-time simulator runs the identical plan against its pool
-        // models). Bulk claims: central backends take the whole remainder in
-        // one CAS, network backends in one antitoken traversal + block cell
-        // claims. A zero return is conclusive — the pool was observably
-        // empty — and an all-or-nothing shortfall goes back through
-        // refund_n, not refill(): count-wise the same increments, but marked
-        // so an adaptive pool's load probe never mistakes a pure-reject
-        // storm for organic traffic. Grab and shortfall-refund run inside
+        // The grab/refund plan is the svc::bucket_consume policy. Bulk
+        // claims: central backends take the whole remainder in one CAS,
+        // network backends in one antitoken traversal + block cell claims.
+        // A zero return is conclusive — the pool was observably empty — and
+        // an all-or-nothing shortfall goes back through refund_n, not
+        // refill(): count-wise the same increments, but marked so an
+        // adaptive pool's load probe never mistakes a pure-reject storm for
+        // organic traffic. Grab and shortfall-refund run inside
         // one read section, so a racing respec migrates either the
         // untouched pool or the fully settled one — never a half-refunded
         // state.

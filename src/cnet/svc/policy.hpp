@@ -2,11 +2,12 @@
 // of the concurrent implementations so the virtual-time multicore simulator
 // (sim::MulticoreModel) runs the exact same rules as the real machinery —
 // when an adaptive counter switches, what value an eliminated pair agrees
-// on, how a bucket consume grabs and refunds — instead of a drifting
+// on, how a quota grant is taken and given back — instead of a drifting
 // reimplementation. Everything here is pure: no atomics, no time, no I/O.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -82,8 +83,7 @@ inline constexpr ConsumeOptions kPartialOk{/*partial_ok=*/true};
 // (which returns how many it claimed; zero is conclusive — the pool was
 // observably empty), and on an all-or-nothing shortfall refund the partial
 // grab through `put_n`. Returns tokens actually consumed. NetTokenBucket
-// runs this against a live rt::Counter; the simulator runs it against its
-// virtual-time pool models.
+// runs this against a live rt::Counter.
 //
 // tokens == 0 is a defined, trivially successful no-op: neither take_n nor
 // put_n is ever invoked and 0 is returned. (A zero-token request is vacuous
@@ -107,9 +107,8 @@ std::uint64_t bucket_consume(std::uint64_t tokens, ConsumeOptions opts,
 }
 
 // ---------------------------------------------------------------------------
-// Quota-hierarchy decision rules (svc::QuotaHierarchy and the simulator's
-// quota model share these; see sim/quota_sim.cpp, which drives the same
-// rules in continuation-passing form).
+// Quota-hierarchy decision rules (svc::QuotaHierarchy, sim::simulate_quota
+// and sim::simulate_cluster's coordinator all step the QuotaPlan below).
 
 // A tenant's parent-borrow cap under the weighted max-borrow policy: its
 // weight's share of the hierarchy's borrow budget, rounded down. The sum
@@ -125,113 +124,179 @@ constexpr std::uint64_t weighted_borrow_limit(
       static_cast<unsigned __int128>(budget) * weight / total_weight);
 }
 
-// How much more a tenant may draw from the parent right now: with
-// `outstanding` tokens already borrowed against `limit`, at most this much
-// of `want` is grantable. Pure arithmetic; the concurrent reservation in
-// QuotaHierarchy CAS-loops over it so `outstanding` can never overshoot the
-// limit, even transiently.
-constexpr std::uint64_t borrow_allowance(std::uint64_t want,
-                                         std::uint64_t outstanding,
-                                         std::uint64_t limit) noexcept {
-  if (outstanding >= limit) return 0;
-  return want < limit - outstanding ? want : limit - outstanding;
+// The borrow reservation: with `outstanding` tokens already on loan against
+// `limit`, a request for `want` more headroom gets all of it or nothing. A
+// partial reservation is doomed to be returned, and holding it meanwhile
+// could falsely reject a sibling's in-cap borrow. QuotaHierarchy CAS-loops
+// over this rule, so `outstanding` never overshoots the limit, not even
+// transiently; while a reweigh has left outstanding > limit it is 0.
+constexpr std::uint64_t borrow_reservation(std::uint64_t want,
+                                           std::uint64_t outstanding,
+                                           std::uint64_t limit) noexcept {
+  return outstanding <= limit && want <= limit - outstanding ? want : 0;
 }
 
-// The settlement of a two-level grab: given what the child and parent takes
-// actually yielded, either the request is covered (admitted, keep both
-// parts) or every token goes back to the level it was taken from. By
-// default the settlement is all-or-nothing; with opts.partial_ok (the
-// overload manager's kDegradePartial action) any nonzero yield settles as
-// admitted — the caller keeps exactly from_child + from_parent tokens and
-// must release exactly those parts later, so conservation stays level-exact
-// either way. tokens == 0 settles as admitted with empty parts — the same
-// defined no-op as bucket_consume's.
-struct QuotaSettlement {
-  bool admitted = false;
-  std::uint64_t refund_child = 0;
-  std::uint64_t refund_parent = 0;
+// One step of the two-level quota protocol, as QuotaPlan::next() names it.
+// The driver performs it on its own pools and reports back.
+enum class QuotaOp : std::uint8_t {
+  kTake,       // claim up to n from the step's pool; done(got)
+  kReserve,    // reserve n borrow headroom (borrow_reservation); done(n or 0)
+  kDecide,     // settle the acquire: decide(opts) with the options in force
+  kPut,        // return n to the step's pool; done()
+  kUnreserve,  // free n borrow headroom; done()
+  kDone,       // finished; result() is final
 };
 
-constexpr QuotaSettlement quota_settle(std::uint64_t tokens,
-                                       std::uint64_t from_child,
-                                       std::uint64_t from_parent,
-                                       ConsumeOptions opts = {}) noexcept {
-  if (from_child + from_parent == tokens) return {true, 0, 0};
-  if (opts.partial_ok && from_child + from_parent > 0) return {true, 0, 0};
-  return {false, from_child, from_parent};
-}
+struct QuotaStep {
+  QuotaOp op = QuotaOp::kDone;
+  bool parent = false;  // a take or put on the parent pool, else the child
+  std::uint64_t n = 0;
+  friend bool operator==(const QuotaStep&, const QuotaStep&) = default;
+};
 
-// Composition of a successful (or rejected) two-level acquire.
-struct QuotaGrantPlan {
+// What an acquire yielded: the tokens covered by each level.
+struct QuotaOutcome {
   bool admitted = false;
   std::uint64_t from_child = 0;   // tokens covered by the tenant's bucket
   std::uint64_t from_parent = 0;  // tokens borrowed from the shared parent
+  std::uint64_t tokens() const noexcept { return from_child + from_parent; }
 };
 
-// The two-level acquire plan: take from the tenant's child bucket first
-// (partial), cover any shortfall from the shared parent only after a
-// successful reservation against the tenant's borrow limit, and on failure
-// refund every token to the level it came from and return the reservation.
-// take_child/take_parent claim up to n and return what they got; reserve(n)
-// returns how much borrow headroom was secured (all-or-nothing decisions
-// need exactly n); unreserve(n) gives headroom back when the grant fails.
-// On success the reservation is kept — it *is* the tenant's outstanding
-// borrow until release().
+// The two-level protocol as a pure, resumable plan, stepped by the live
+// hierarchy synchronously and by the simulators in virtual time. It owns
+// the whole order; a driver only executes steps. Zero-sized steps are
+// skipped.
 //
-// With opts.partial_ok (the overload manager's kDegradePartial action) a
-// short yield still admits: the plan keeps whatever the child plus parent
-// actually produced, and any reserved headroom beyond the parent tokens
-// actually claimed is unreserved before returning — so the outstanding
-// borrow equals from_parent exactly, and releasing (from_child,
-// from_parent) restores both pools and the headroom to the token.
-template <class TakeChild, class Reserve, class Unreserve, class TakeParent,
-          class PutChild, class PutParent>
-QuotaGrantPlan quota_acquire(std::uint64_t tokens, TakeChild&& take_child,
-                             Reserve&& reserve, Unreserve&& unreserve,
-                             TakeParent&& take_parent, PutChild&& put_child,
-                             PutParent&& put_parent,
-                             ConsumeOptions opts = {}) {
-  QuotaGrantPlan plan;
-  if (tokens == 0) {  // the defined no-op, as in bucket_consume
-    plan.admitted = true;
-    return plan;
+// acquire(tokens): take from the child (partial), and on a shortfall
+// reserve that much headroom and take it from the parent. The decision
+// admits a full yield, or with opts.partial_ok (the kDegradePartial
+// action) any nonzero yield; a degraded admit unreserves the headroom its
+// parent take did not fill, so outstanding borrow == from_parent. A reject
+// returns the parent part, then the child part, then the reservation —
+// pool before headroom, so a reservation that wins the freed headroom
+// finds its tokens already back. tokens == 0 admits with empty parts and
+// touches nothing, the same defined no-op as bucket_consume's.
+//
+// settle(grant, refund_child, refund_parent): the end of an admitted
+// grant of which refund_* tokens come back unspent (release refunds both
+// parts whole). Child part, then parent part, then the whole from_parent
+// of headroom: spent parent tokens left the system for good and must stop
+// occupying the tenant's limit.
+class QuotaPlan {
+ public:
+  static QuotaPlan acquire(std::uint64_t tokens) noexcept {
+    QuotaPlan p;
+    p.tokens_ = tokens;
+    p.out_.admitted = tokens == 0;
+    p.phase_ = tokens == 0 ? kEnd : kTakeChild;
+    return p;
   }
-  const std::uint64_t from_child = take_child(tokens);
-  std::uint64_t from_parent = 0;
-  std::uint64_t reserved = 0;
-  if (from_child < tokens) {
-    const std::uint64_t shortfall = tokens - from_child;
-    reserved = reserve(shortfall);
-    if (reserved == shortfall) {
-      from_parent = take_parent(shortfall);
-    } else if (opts.partial_ok && reserved > 0) {
-      // Degraded mode accepts a partial reservation and borrows only what
-      // was secured; the all-or-nothing path must not (a short borrow
-      // would turn into a short grant and a spurious rejection).
-      from_parent = take_parent(reserved);
+
+  static QuotaPlan settle(const QuotaOutcome& grant,
+                          std::uint64_t refund_child,
+                          std::uint64_t refund_parent) noexcept {
+    QuotaPlan p;
+    p.out_ = grant;
+    p.give_back(0, refund_child, refund_parent, grant.from_parent);
+    return p;
+  }
+
+  QuotaStep next() const noexcept {
+    switch (phase_) {
+      case kTakeChild: return {QuotaOp::kTake, false, tokens_};
+      case kReserve:
+        return {QuotaOp::kReserve, false, tokens_ - out_.from_child};
+      case kTakeParent: return {QuotaOp::kTake, true, reserved_};
+      case kDecide: return {QuotaOp::kDecide};
+      case kUnreserve: return {QuotaOp::kUnreserve, false, give_[phase_]};
+      case kEnd: return {};
+      default: return {QuotaOp::kPut, phase_ != kPutChild, give_[phase_]};
     }
   }
-  const QuotaSettlement settle =
-      quota_settle(tokens, from_child, from_parent, opts);
-  if (settle.admitted) {
-    // A degraded (partial) admit may hold a reservation larger than the
-    // parent tokens it actually claimed; give the unused headroom back so
-    // outstanding borrow == from_parent, the amount release() will return.
-    if (reserved > from_parent) unreserve(reserved - from_parent);
-    plan.admitted = true;
-    plan.from_child = from_child;
-    plan.from_parent = from_parent;
-    return plan;
+  QuotaOutcome result() const noexcept { return out_; }
+
+  // Completes the current step; `got` is what a take or reserve yielded.
+  void done(std::uint64_t got = 0) noexcept {
+    switch (phase_) {
+      case kTakeChild:
+        out_.from_child = got;
+        phase_ = got >= tokens_ ? kDecide : kReserve;
+        return;
+      case kReserve:
+        reserved_ = got;
+        phase_ = got == tokens_ - out_.from_child ? kTakeParent : kDecide;
+        return;
+      case kTakeParent:
+        out_.from_parent = got;
+        phase_ = kDecide;
+        return;
+      default:
+        advance();
+    }
   }
-  // Pool before headroom, the same ordering release() documents: the
-  // parent grab must be observable in the pool again before the
-  // reservation frees, or a racing reservation could win headroom whose
-  // tokens are still in flight back and falsely reject.
-  if (settle.refund_parent > 0) put_parent(settle.refund_parent);
-  if (settle.refund_child > 0) put_child(settle.refund_child);
-  if (reserved > 0) unreserve(reserved);
-  return plan;
-}
+
+  // Performs a kReserve or kUnreserve step on a plain outstanding-borrow
+  // count: the simulators' reservation word. (The live word is a CAS loop
+  // over the same borrow_reservation rule.)
+  void book(std::uint64_t& borrowed, std::uint64_t limit) noexcept {
+    const std::uint64_t want = next().n;
+    const bool reserve = phase_ == kReserve;
+    const std::uint64_t n =
+        reserve ? borrow_reservation(want, borrowed, limit) : want;
+    borrowed = reserve ? borrowed + n : borrowed - n;
+    done(n);
+  }
+
+  // The acquire's decision, under the options in force at this instant.
+  void decide(ConsumeOptions opts) noexcept {
+    const std::uint64_t got = out_.from_child + out_.from_parent;
+    if (got == tokens_ || (opts.partial_ok && got > 0)) {
+      out_.admitted = true;
+      give_back(0, 0, 0, reserved_ - out_.from_parent);
+      return;
+    }
+    give_back(out_.from_parent, out_.from_child, 0, reserved_);
+    out_ = {};
+  }
+
+ private:
+  // The steps in order. A reject gives back parent first, a settle child
+  // first; both end with the headroom.
+  enum Phase : std::uint8_t {
+    kTakeChild,
+    kReserve,
+    kTakeParent,
+    kDecide,
+    kPutParentFirst,
+    kPutChild,
+    kPutParentLast,
+    kUnreserve,
+    kEnd,
+  };
+
+  // The give-backs after a decision or for a settle, run in phase order.
+  void give_back(std::uint64_t parent_first, std::uint64_t child,
+                 std::uint64_t parent_last, std::uint64_t headroom) noexcept {
+    give_[kPutParentFirst] = parent_first;
+    give_[kPutChild] = child;
+    give_[kPutParentLast] = parent_last;
+    give_[kUnreserve] = headroom;
+    phase_ = kDecide;
+    advance();
+  }
+  // On to the next give-back with something to move.
+  void advance() noexcept {
+    do {
+      phase_ = static_cast<Phase>(phase_ + 1);
+    } while (phase_ != kEnd && next().n == 0);
+  }
+
+  Phase phase_ = kEnd;
+  QuotaOutcome out_;
+  std::uint64_t tokens_ = 0;
+  std::uint64_t reserved_ = 0;
+  std::uint64_t give_[kEnd] = {};  // what each give-back phase moves
+};
 
 // ---------------------------------------------------------------------------
 // Overload-manager decision rules (svc::OverloadManager and the simulator's
@@ -329,6 +394,15 @@ constexpr OverloadActions overload_actions(OverloadTier tier) noexcept {
   if (tier >= OverloadTier::kDegradePartial) a.degrade_to_partial = true;
   if (tier >= OverloadTier::kShedTenants) a.shed_tenants = true;
   return a;
+}
+
+// The degrade rule: under degrade_to_partial a consume or acquire settles
+// partially, on top of whatever the caller asked for; the action never
+// forces all-or-nothing.
+constexpr ConsumeOptions settle_options(const OverloadActions& actions,
+                                        ConsumeOptions opts) noexcept {
+  if (actions.degrade_to_partial) opts.partial_ok = true;
+  return opts;
 }
 
 // Pressure readings live in [0, 1]; everything a monitor produces is
@@ -471,7 +545,7 @@ inline std::vector<std::uint64_t> reweigh_limits(
 // How a re-divided limit meets outstanding borrows: tokens already on loan
 // above the new limit are never clawed back — the grant holders release
 // exactly what they hold, in their own time. The overage merely blocks new
-// reservations (borrow_allowance yields 0 while outstanding >= limit) until
+// reservations (borrow_reservation yields 0 while outstanding >= limit) until
 // releases drain it. Pure bookkeeping for monitors and the simulator.
 constexpr std::uint64_t borrow_overage(std::uint64_t outstanding,
                                        std::uint64_t limit) noexcept {

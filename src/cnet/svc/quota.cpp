@@ -55,24 +55,53 @@ std::uint64_t QuotaHierarchy::reserve_borrow(std::size_t thread_hint,
     const std::uint64_t limit = ws.limits[tenant];
     std::uint64_t cur = state.borrowed.load(std::memory_order_relaxed);
     for (;;) {
-      // All-or-nothing, like the acquire plan that consumes it: a partial
-      // reservation is doomed to be returned, and committing it would hold
-      // cap headroom hostage for the whole refund window — long enough to
-      // falsely reject a sibling thread's genuinely in-cap borrow. (The
-      // simulator's quota model makes the same commit-only-if-full
-      // decision.) After a reweigh shrinks the limit below the outstanding
-      // borrow, borrow_allowance is 0 here until releases drain the
-      // overage — the new cap binds without any claw-back.
-      if (borrow_allowance(want, cur, limit) < want) return 0;
+      // After a reweigh shrinks the limit below the outstanding borrow, the
+      // rule yields 0 until releases drain the overage — the new cap binds
+      // without any claw-back.
+      const std::uint64_t got = borrow_reservation(want, cur, limit);
+      if (got == 0) return 0;
       // acq_rel: a winning reservation must observe the parent-pool refund
-      // that preceded the release which freed this headroom (release puts
+      // that preceded the release which freed this headroom (the plan puts
       // the tokens back *before* shrinking borrowed).
-      if (state.borrowed.compare_exchange_weak(cur, cur + want,
+      if (state.borrowed.compare_exchange_weak(cur, cur + got,
                                                std::memory_order_acq_rel)) {
-        return want;
+        return got;
       }
     }
   });
+}
+
+QuotaOutcome QuotaHierarchy::run(std::size_t thread_hint, std::size_t tenant,
+                                 QuotaPlan&& plan, ConsumeOptions opts) {
+  TenantState& state = tenants_[tenant];
+  for (QuotaStep s = plan.next(); s.op != QuotaOp::kDone; s = plan.next()) {
+    NetTokenBucket& pool = s.parent ? parent_ : *state.bucket;
+    switch (s.op) {
+      case QuotaOp::kTake:
+        // Always partial: the plan's decision, not the pool, says whether
+        // a short yield admits.
+        plan.done(pool.consume(thread_hint, s.n, kPartialOk));
+        break;
+      case QuotaOp::kPut:
+        pool.refund(thread_hint, s.n);
+        plan.done();
+        break;
+      case QuotaOp::kReserve:
+        plan.done(reserve_borrow(thread_hint, tenant, state, s.n));
+        break;
+      case QuotaOp::kUnreserve:
+        state.borrowed.fetch_sub(s.n, std::memory_order_release);
+        plan.done();
+        break;
+      case QuotaOp::kDecide:
+        plan.decide(overload_ == nullptr
+                        ? opts
+                        : settle_options(overload_->actions(), opts));
+        break;
+      case QuotaOp::kDone: break;
+    }
+  }
+  return plan.result();
 }
 
 QuotaHierarchy::Grant QuotaHierarchy::acquire(std::size_t thread_hint,
@@ -80,66 +109,11 @@ QuotaHierarchy::Grant QuotaHierarchy::acquire(std::size_t thread_hint,
                                               std::uint64_t tokens,
                                               ConsumeOptions opts) {
   CNET_REQUIRE(tenant < tenants_.size(), "tenant index out of range");
-  TenantState& state = tenants_[tenant];
-  if (state.shed.load(std::memory_order_acquire)) {
-    // A shed tenant is rejected before any pool is touched: no tokens
-    // move, so there is nothing to refund and conservation is trivial.
-    Grant rejected;
-    rejected.tenant = static_cast<std::uint32_t>(tenant);
-    return rejected;
-  }
-  // Degrade-partial is decided here (not in the buckets) so the grant's
-  // parts record exactly what was taken — release() stays an exact undo.
-  // The overload action forces partial settlement on top of whatever the
-  // caller asked for; it never forces all-or-nothing.
-  if (overload_ != nullptr && overload_->actions().degrade_to_partial) {
-    opts.partial_ok = true;
-  }
-  // The whole flow is the shared svc::quota_acquire plan; only the
-  // concrete take/refund/reserve mechanics live here. The level takes are
-  // always partial — the settlement rule, not the pools, decides whether a
-  // short yield admits under opts.
-  const QuotaGrantPlan plan = quota_acquire(
-      tokens,
-      [&](std::uint64_t n) {
-        return state.bucket->consume(thread_hint, n, kPartialOk);
-      },
-      [&](std::uint64_t n) {
-        return reserve_borrow(thread_hint, tenant, state, n);
-      },
-      [&](std::uint64_t n) {
-        state.borrowed.fetch_sub(n, std::memory_order_release);
-      },
-      [&](std::uint64_t n) {
-        return parent_.consume(thread_hint, n, kPartialOk);
-      },
-      [&](std::uint64_t n) { state.bucket->refund(thread_hint, n); },
-      [&](std::uint64_t n) { parent_.refund(thread_hint, n); },
-      opts);
-  Grant grant;
-  grant.admitted = plan.admitted;
-  grant.tenant = static_cast<std::uint32_t>(tenant);
-  grant.from_child = plan.from_child;
-  grant.from_parent = plan.from_parent;
-  return grant;
-}
-
-void QuotaHierarchy::release(std::size_t thread_hint, const Grant& grant) {
-  CNET_REQUIRE(grant.admitted, "release of a rejected grant");
-  CNET_REQUIRE(grant.tenant < tenants_.size(), "grant tenant out of range");
-  TenantState& state = tenants_[grant.tenant];
-  if (grant.from_child > 0) {
-    state.bucket->refund(thread_hint, grant.from_child);
-  }
-  if (grant.from_parent > 0) {
-    // Pool before headroom: once the borrowed tokens are observable in the
-    // parent again, shrinking `borrowed` may let a waiting reservation win
-    // — and it will find what it reserved. Reweigh-independent: the grant
-    // records what was borrowed under whatever limits then held, so this
-    // undo is exact under any current weight generation.
-    parent_.refund(thread_hint, grant.from_parent);
-    state.borrowed.fetch_sub(grant.from_parent, std::memory_order_release);
-  }
+  const auto id = static_cast<std::uint32_t>(tenant);
+  // A shed tenant is rejected before any pool is touched: no tokens move,
+  // so there is nothing to refund and conservation is trivial.
+  if (tenants_[tenant].shed.load(std::memory_order_acquire)) return {{}, id};
+  return {run(thread_hint, tenant, QuotaPlan::acquire(tokens), opts), id};
 }
 
 void QuotaHierarchy::settle_spent(std::size_t thread_hint, const Grant& grant,
@@ -151,20 +125,11 @@ void QuotaHierarchy::settle_spent(std::size_t thread_hint, const Grant& grant,
                "child refund exceeds the grant's child part");
   CNET_REQUIRE(refund_parent <= grant.from_parent,
                "parent refund exceeds the grant's parent part");
-  TenantState& state = tenants_[grant.tenant];
-  if (refund_child > 0) {
-    state.bucket->refund(thread_hint, refund_child);
-  }
-  // Pool before headroom, as in release(). The headroom freed is the whole
-  // from_parent — the spent remainder left the system for good and must not
-  // keep occupying the tenant's weighted limit — but only the unspent part
-  // goes back to the pool, so the parent's count stays exact.
-  if (refund_parent > 0) {
-    parent_.refund(thread_hint, refund_parent);
-  }
-  if (grant.from_parent > 0) {
-    state.borrowed.fetch_sub(grant.from_parent, std::memory_order_release);
-  }
+  // Reweigh-independent: the grant records what was borrowed under
+  // whatever limits then held, so the settlement is exact under any
+  // current weight generation.
+  run(thread_hint, grant.tenant,
+      QuotaPlan::settle(grant, refund_child, refund_parent), kAllOrNothing);
 }
 
 std::uint64_t QuotaHierarchy::reweigh(

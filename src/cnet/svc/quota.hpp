@@ -22,17 +22,18 @@
 //
 // Isolation comes from the reservation: a tenant's outstanding parent
 // borrow can never exceed its weighted limit, not even transiently (the
-// reservation CAS-loops over svc::borrow_allowance rather than
+// reservation CAS-loops over svc::borrow_reservation rather than
 // add-then-correct). Size the borrow budget at most the parent's capacity
 // minus the largest single acquire cost and a successful reservation is
 // guaranteed to find its tokens in the parent — a hot tenant saturating
 // its cap cannot make a cold tenant's in-cap borrow fail.
 //
-// The decision rules (weighted_borrow_limit, borrow_allowance,
-// quota_acquire/quota_settle, reweigh_limits) live in svc/policy.hpp and
-// are shared with the virtual-time simulator's quota model
-// (sim::simulate_quota), so tenant-isolation and parent-contention claims
-// are reproducible deterministically on any host.
+// The protocol itself is svc::QuotaPlan (svc/policy.hpp): acquire,
+// release and settle_spent step it over the buckets and the reservation
+// CAS, and the virtual-time simulator (sim::simulate_quota,
+// sim::simulate_cluster) steps the same plan over its pool models, so
+// tenant-isolation and parent-contention claims are reproducible
+// deterministically on any host.
 //
 // The weight vector is hot-reconfigurable: reweigh() stages a whole new
 // per-tenant limit vector (svc::ReconfigEngine) and publishes it as a
@@ -40,7 +41,7 @@
 // limits could sum above the borrow budget and silently void the
 // parent-sizing isolation guarantee. In-flight grants are unaffected:
 // outstanding borrows above a shrunken limit are never clawed back
-// (borrow_overage names the quantity); borrow_allowance simply returns 0
+// (borrow_overage names the quantity); borrow_reservation simply returns 0
 // until releases drain the overage, and release() stays an exact undo
 // throughout.
 #pragma once
@@ -53,6 +54,7 @@
 
 #include "cnet/svc/backend.hpp"
 #include "cnet/svc/net_token_bucket.hpp"
+#include "cnet/svc/policy.hpp"
 #include "cnet/svc/reconfig.hpp"
 #include "cnet/util/atomic.hpp"
 #include "cnet/util/cacheline.hpp"
@@ -84,14 +86,11 @@ class QuotaHierarchy : public Reconfigurable {
     std::uint64_t borrow_budget = 0;
   };
 
-  // One admission outcome. A grant's parts record which level covered it;
-  // release() needs the whole struct back to undo it exactly.
-  struct Grant {
-    bool admitted = false;
+  // One admission outcome: the plan's parts, recording which level covered
+  // the grant, and its tenant. release() needs the whole struct back to
+  // undo it exactly.
+  struct Grant : QuotaOutcome {
     std::uint32_t tenant = 0;
-    std::uint64_t from_child = 0;
-    std::uint64_t from_parent = 0;
-    std::uint64_t tokens() const noexcept { return from_child + from_parent; }
   };
 
   QuotaHierarchy(const Config& cfg, std::vector<TenantConfig> tenants);
@@ -116,7 +115,9 @@ class QuotaHierarchy : public Reconfigurable {
   // so a concurrent reservation that wins the freed headroom always finds
   // the tokens already back in the pool). Both go through the refund path,
   // invisible to an adaptive backend's load probe.
-  void release(std::size_t thread_hint, const Grant& grant);
+  void release(std::size_t thread_hint, const Grant& grant) {
+    settle_spent(thread_hint, grant, grant.from_child, grant.from_parent);
+  }
 
   // Partially-spent settlement of a grant, for callers that consumed some
   // of a grant's tokens for good and hand back only the remainder (the
@@ -211,12 +212,17 @@ class QuotaHierarchy : public Reconfigurable {
       std::uint64_t borrow_budget, std::size_t tenants,
       const std::vector<std::uint64_t>& weights);
 
-  // Secures up to `want` borrow headroom for the tenant; the CAS loop over
-  // borrow_allowance keeps borrowed <= limit an always-true invariant. The
-  // limit is read inside one engine read section, so the whole loop runs
-  // against a single weight generation.
+  // Secures exactly `want` borrow headroom for the tenant, or none; the
+  // CAS loop over borrow_reservation keeps borrowed <= limit an
+  // always-true invariant. The limit is read inside one engine read
+  // section, so the whole loop runs against a single weight generation.
   std::uint64_t reserve_borrow(std::size_t thread_hint, std::size_t tenant,
                                TenantState& state, std::uint64_t want);
+
+  // Steps `plan` for the tenant over its bucket, its reservation word and
+  // the parent; `opts` (with the overload degrade action on top) decides.
+  QuotaOutcome run(std::size_t thread_hint, std::size_t tenant,
+                   QuotaPlan&& plan, ConsumeOptions opts);
 
   NetTokenBucket parent_;
   std::vector<TenantState> tenants_;

@@ -3,9 +3,10 @@
 // The protocol under test is reserve_borrow's CAS loop over the tenant's
 // `borrowed` word inside a weights_ read section — the mechanism behind
 // the isolation guarantee (outstanding borrow never exceeds the weighted
-// limit, not even transiently). Two shapes: the reservation racing a
-// reweigh commit (limits swap generations mid-loop), and two acquires
-// racing for the last unit of borrow headroom.
+// limit, not even transiently). Three shapes: the reservation racing a
+// reweigh commit (limits swap generations mid-loop), two acquires racing
+// for the last unit of borrow headroom, and a release racing an acquire
+// for the headroom it frees (the plan's pool-before-headroom order).
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -28,11 +29,11 @@ using cnet::svc::QuotaHierarchy;
 // pool arithmetic out of the schedule space — the explored steps are
 // exactly the reservation CAS loop, the weights read section, and the
 // commit protocol.
-std::shared_ptr<QuotaHierarchy> tiny_quota() {
+std::shared_ptr<QuotaHierarchy> tiny_quota(std::uint64_t parent_initial = 4) {
   QuotaHierarchy::Config cfg;
   cfg.parent = {BackendKind::kCentralAtomic, false};
   cfg.child = {BackendKind::kCentralAtomic, false};
-  cfg.parent_initial_tokens = 4;
+  cfg.parent_initial_tokens = parent_initial;
   cfg.borrow_budget = 2;  // weights {1,1} -> limit 1 per tenant
   return std::make_shared<QuotaHierarchy>(
       cfg, std::vector<QuotaHierarchy::TenantConfig>{{0, 1}, {0, 1}});
@@ -82,6 +83,27 @@ void last_headroom(TestContext& ctx) {
               "borrow ledger nonzero after release");
 }
 
+void release_before_headroom(TestContext& ctx) {
+  // One parent token, limit 1, already on loan: the release and a second
+  // acquire for the same tenant race for it. The acquire's reservation can
+  // only win once the release frees the headroom, and the release puts
+  // the token back first — so a won reservation always finds its token
+  // and the parent never sees a failed take.
+  auto quota = tiny_quota(/*parent_initial=*/1);
+  const QuotaHierarchy::Grant held = quota->acquire(0, 0, 1);
+  CNET_ENSURE(held.admitted && held.from_parent == 1,
+              "setup must borrow the one parent token");
+  auto again = std::make_shared<QuotaHierarchy::Grant>();
+  ctx.spawn([quota, held] { quota->release(0, held); });
+  ctx.spawn([quota, again] { *again = quota->acquire(1, 0, 1); });
+  ctx.join_all();
+  CNET_ENSURE(quota->parent().consume_rejects() == 0,
+              "a won reservation found its parent token missing");
+  if (again->admitted) quota->release(0, *again);
+  CNET_ENSURE(quota->borrowed(0) == 0,
+              "borrow ledger nonzero after all grants released");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -89,6 +111,8 @@ int main(int argc, char** argv) {
       {
           Scenario{"borrow_vs_reweigh", Expect::kClean, borrow_vs_reweigh},
           Scenario{"last_headroom", Expect::kClean, last_headroom},
+          Scenario{"release_before_headroom", Expect::kClean,
+                   release_before_headroom},
       },
       argc, argv);
 }

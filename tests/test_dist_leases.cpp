@@ -107,6 +107,27 @@ TEST(DistLeases, DrainIsExactAfterRefillsPastTheInitialTotal) {
   EXPECT_EQ(cluster.drain_global(0), 0u);
 }
 
+TEST(DistLeases, BorrowBelowOneLeaseChunkGainsNothing) {
+  // Six nodes over a 60-token borrow budget: limit 10 per node against a
+  // 96-token lease chunk. The reservation is all-or-nothing, so a renewal
+  // with an empty account gains nothing and borrows nothing — the sizing
+  // ClusterSim.BorrowBelowOneLeaseChunkLeavesTheParentUntouched runs.
+  ClusterConfig cfg = small_config();
+  cfg.parent_initial = 2048;
+  cfg.node_account_initial = 0;
+  cfg.borrow_budget = 60;
+  cfg.lease_chunk = 96;
+  cfg.lease_cap = 384;
+  PeerCluster cluster(
+      Topology({{0, 0}, {0, 0}, {0, 1}, {1, 0}, {1, 0}, {1, 1}}), cfg);
+  ASSERT_EQ(cluster.global().borrow_limit(0), 10u);
+  EXPECT_EQ(cluster.renew(0, 0, 96), 0u);
+  EXPECT_EQ(cluster.global().borrowed(0), 0u);
+  EXPECT_EQ(cluster.leased_tokens(0), 0u);
+  EXPECT_EQ(cluster.global().parent().consume_rejects(), 0u);
+  EXPECT_EQ(settle_and_drain(cluster), cluster.total_initial_tokens());
+}
+
 TEST(DistLeases, DonatedLeaseKeepsDonorGrantPartsAndSettlesToDonor) {
   ClusterConfig cfg = small_config();
   cfg.lease_chunk = 50;  // so a want of 50 asks for exactly 50

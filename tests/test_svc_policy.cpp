@@ -120,130 +120,200 @@ TEST(QuotaPolicy, WeightedLimitsPartitionTheBudget) {
   EXPECT_EQ(weighted_borrow_limit(1ull << 60, 3, 4), 3ull << 58);
 }
 
-TEST(QuotaPolicy, BorrowAllowanceClampsAtTheLimit) {
-  EXPECT_EQ(borrow_allowance(5, 0, 8), 5u);   // fully inside the cap
-  EXPECT_EQ(borrow_allowance(5, 6, 8), 2u);   // clipped to the headroom
-  EXPECT_EQ(borrow_allowance(5, 8, 8), 0u);   // saturated
-  EXPECT_EQ(borrow_allowance(5, 9, 8), 0u);   // never negative headroom
-  EXPECT_EQ(borrow_allowance(0, 3, 8), 0u);
+TEST(QuotaPolicy, BorrowReservationIsAllOrNothing) {
+  EXPECT_EQ(borrow_reservation(5, 0, 8), 5u);  // fully inside the cap
+  EXPECT_EQ(borrow_reservation(5, 3, 8), 5u);  // exactly fills it
+  EXPECT_EQ(borrow_reservation(5, 6, 8), 0u);  // never clipped to the headroom
+  EXPECT_EQ(borrow_reservation(5, 8, 8), 0u);  // saturated
+  EXPECT_EQ(borrow_reservation(5, 9, 8), 0u);  // never negative headroom
+  EXPECT_EQ(borrow_reservation(0, 3, 8), 0u);
 }
 
-TEST(QuotaPolicy, SettlementIsAllOrNothingPerLevel) {
-  const auto full = quota_settle(5, 2, 3);
-  EXPECT_TRUE(full.admitted);
-  EXPECT_EQ(full.refund_child, 0u);
-  EXPECT_EQ(full.refund_parent, 0u);
-  const auto shortfall = quota_settle(5, 2, 1);
-  EXPECT_FALSE(shortfall.admitted);
-  EXPECT_EQ(shortfall.refund_child, 2u);   // back to the child
-  EXPECT_EQ(shortfall.refund_parent, 1u);  // back to the parent
-  // The zero-token no-op settles as admitted with empty parts.
-  EXPECT_TRUE(quota_settle(0, 0, 0).admitted);
-}
-
-// A tiny synchronous harness for the full acquire plan: two integer pools
-// and a reservation ledger, mirroring what QuotaHierarchy wires in.
+// Steps the plan synchronously over two integer pools and a reservation
+// word, as QuotaHierarchy does over its buckets, recording every step.
 struct PlanHarness {
   std::uint64_t child, parent, borrowed, limit;
-  std::uint64_t reserves = 0, unreserves = 0;
+  std::vector<QuotaStep> trace{};
 
-  QuotaGrantPlan acquire(std::uint64_t tokens, ConsumeOptions opts = {}) {
-    return quota_acquire(
-        tokens,
-        [&](std::uint64_t n) {
-          const std::uint64_t got = std::min(n, child);
-          child -= got;
-          return got;
-        },
-        [&](std::uint64_t n) {
-          const std::uint64_t ok = borrow_allowance(n, borrowed, limit);
-          borrowed += ok;
-          reserves += ok;
-          return ok;
-        },
-        [&](std::uint64_t n) {
-          borrowed -= n;
-          unreserves += n;
-        },
-        [&](std::uint64_t n) {
-          const std::uint64_t got = std::min(n, parent);
-          parent -= got;
-          return got;
-        },
-        [&](std::uint64_t n) { child += n; },
-        [&](std::uint64_t n) { parent += n; }, opts);
+  QuotaOutcome run(QuotaPlan plan, ConsumeOptions opts = {}) {
+    for (QuotaStep s = plan.next(); s.op != QuotaOp::kDone; s = plan.next()) {
+      trace.push_back(s);
+      std::uint64_t& pool = s.parent ? parent : child;
+      switch (s.op) {
+        case QuotaOp::kTake: {
+          const std::uint64_t got = std::min(s.n, pool);
+          pool -= got;
+          plan.done(got);
+          break;
+        }
+        case QuotaOp::kPut:
+          pool += s.n;
+          plan.done();
+          break;
+        case QuotaOp::kReserve:  // the shared all-or-nothing rule
+        case QuotaOp::kUnreserve:
+          plan.book(borrowed, limit);
+          break;
+        case QuotaOp::kDecide:
+          plan.decide(opts);
+          break;
+        case QuotaOp::kDone: break;
+      }
+    }
+    return plan.result();
+  }
+  QuotaOutcome acquire(std::uint64_t tokens, ConsumeOptions opts = {}) {
+    return run(QuotaPlan::acquire(tokens), opts);
+  }
+
+  // The steps after the decision: the puts and unreserves, in order.
+  std::vector<QuotaStep> tail() const {
+    const auto decide = std::find_if(trace.begin(), trace.end(), [](auto s) {
+      return s.op == QuotaOp::kDecide;
+    });
+    return {decide == trace.end() ? decide : decide + 1, trace.end()};
   }
 };
 
+using Steps = std::vector<QuotaStep>;
+constexpr bool kChild = false;
+constexpr bool kParent = true;
+
 TEST(QuotaPolicy, AcquireTakesChildFirstThenBorrows) {
   PlanHarness h{.child = 2, .parent = 10, .borrowed = 0, .limit = 5};
-  const auto plan = h.acquire(6);
-  EXPECT_TRUE(plan.admitted);
-  EXPECT_EQ(plan.from_child, 2u);
-  EXPECT_EQ(plan.from_parent, 4u);
+  const auto out = h.acquire(6);
+  EXPECT_TRUE(out.admitted);
+  EXPECT_EQ(out.from_child, 2u);
+  EXPECT_EQ(out.from_parent, 4u);
   EXPECT_EQ(h.child, 0u);
   EXPECT_EQ(h.parent, 6u);
   EXPECT_EQ(h.borrowed, 4u);  // the reservation is the outstanding borrow
-  EXPECT_EQ(h.unreserves, 0u);
+  EXPECT_EQ(h.trace, (Steps{{QuotaOp::kTake, kChild, 6},
+                            {QuotaOp::kReserve, kChild, 4},
+                            {QuotaOp::kTake, kParent, 4},
+                            {QuotaOp::kDecide, kChild, 0}}));
 }
 
-TEST(QuotaPolicy, AcquireOverTheLimitRefundsAndUnreserves) {
+TEST(QuotaPolicy, AcquireCoveredByTheChildNeverReserves) {
+  PlanHarness h{.child = 8, .parent = 10, .borrowed = 0, .limit = 5};
+  const auto out = h.acquire(6);
+  EXPECT_TRUE(out.admitted);
+  EXPECT_EQ(out.from_child, 6u);
+  EXPECT_EQ(out.from_parent, 0u);
+  EXPECT_EQ(h.trace, (Steps{{QuotaOp::kTake, kChild, 6},
+                            {QuotaOp::kDecide, kChild, 0}}));
+}
+
+TEST(QuotaPolicy, AcquireOverTheLimitRefundsTheChildOnly) {
   // Shortfall 6 against headroom 3: the reservation fails, the child grab
-  // goes back, the parent is never touched.
+  // goes back, the parent is never touched and nothing is unreserved.
   PlanHarness h{.child = 2, .parent = 10, .borrowed = 2, .limit = 5};
-  const auto plan = h.acquire(8);
-  EXPECT_FALSE(plan.admitted);
+  const auto out = h.acquire(8);
+  EXPECT_FALSE(out.admitted);
+  EXPECT_EQ(out.from_child + out.from_parent, 0u);
   EXPECT_EQ(h.child, 2u);
   EXPECT_EQ(h.parent, 10u);
   EXPECT_EQ(h.borrowed, 2u);
-  EXPECT_EQ(h.reserves, h.unreserves);  // every reservation returned
+  EXPECT_EQ(h.tail(), (Steps{{QuotaOp::kPut, kChild, 2}}));
 }
 
-TEST(QuotaPolicy, AcquireAgainstAShortParentRefundsBothLevels) {
+TEST(QuotaPolicy, RejectReturnsThePoolBeforeTheHeadroom) {
+  // Needs 4 from a parent holding 2: the reject puts the parent part back,
+  // then the child part, and only then frees the reservation — a racing
+  // reservation that wins the freed headroom finds its tokens.
   PlanHarness h{.child = 1, .parent = 2, .borrowed = 0, .limit = 8};
-  const auto plan = h.acquire(5);  // needs 4 from a parent holding 2
-  EXPECT_FALSE(plan.admitted);
+  const auto out = h.acquire(5);
+  EXPECT_FALSE(out.admitted);
   EXPECT_EQ(h.child, 1u);
   EXPECT_EQ(h.parent, 2u);
   EXPECT_EQ(h.borrowed, 0u);
+  EXPECT_EQ(h.tail(), (Steps{{QuotaOp::kPut, kParent, 2},
+                             {QuotaOp::kPut, kChild, 1},
+                             {QuotaOp::kUnreserve, kChild, 4}}));
 }
 
 TEST(QuotaPolicy, AcquireZeroAdmitsWithoutTouchingAnything) {
   PlanHarness h{.child = 3, .parent = 4, .borrowed = 1, .limit = 5};
-  const auto plan = h.acquire(0);
-  EXPECT_TRUE(plan.admitted);
-  EXPECT_EQ(plan.from_child + plan.from_parent, 0u);
-  EXPECT_EQ(h.child, 3u);
-  EXPECT_EQ(h.parent, 4u);
-  EXPECT_EQ(h.borrowed, 1u);
+  const auto out = h.acquire(0);
+  EXPECT_TRUE(out.admitted);
+  EXPECT_EQ(out.from_child + out.from_parent, 0u);
+  EXPECT_TRUE(h.trace.empty());
 }
 
-TEST(QuotaPolicy, DegradedAcquireAdmitsShortWithExactParts) {
+TEST(QuotaPolicy, DegradedAcquireAdmitsShortAndUnreservesTheExcess) {
   // The same short-parent shape that rejects above: under partial_ok
   // (the kDegradePartial action) it admits with exactly what both levels
-  // yielded, and the reservation headroom the parent could not cover is
-  // returned so outstanding borrow == from_parent.
+  // yielded, and the headroom the parent could not cover is returned so
+  // outstanding borrow == from_parent.
   PlanHarness h{.child = 1, .parent = 2, .borrowed = 0, .limit = 8};
-  const auto plan = h.acquire(5, kPartialOk);
-  EXPECT_TRUE(plan.admitted);
-  EXPECT_EQ(plan.from_child, 1u);
-  EXPECT_EQ(plan.from_parent, 2u);
+  const auto out = h.acquire(5, kPartialOk);
+  EXPECT_TRUE(out.admitted);
+  EXPECT_EQ(out.from_child, 1u);
+  EXPECT_EQ(out.from_parent, 2u);
   EXPECT_EQ(h.child, 0u);
   EXPECT_EQ(h.parent, 0u);
   EXPECT_EQ(h.borrowed, 2u);  // reserved 4, claimed 2, unreserved 2
-  EXPECT_EQ(h.unreserves, 2u);
+  EXPECT_EQ(h.tail(), (Steps{{QuotaOp::kUnreserve, kChild, 2}}));
 }
 
-TEST(QuotaPolicy, DegradedAcquireAcceptsAPartialReservation) {
-  // Shortfall 6 against headroom 2: all-or-nothing would reject without
-  // touching the parent; degrade borrows just the allowance.
+TEST(QuotaPolicy, DegradedAcquireWithoutHeadroomKeepsTheChildPart) {
+  // Shortfall 6 against headroom 2: the reservation is all-or-nothing in
+  // every mode, so the degraded admit is the child part alone.
   PlanHarness h{.child = 2, .parent = 10, .borrowed = 3, .limit = 5};
-  const auto plan = h.acquire(8, kPartialOk);
-  EXPECT_TRUE(plan.admitted);
-  EXPECT_EQ(plan.from_child, 2u);
-  EXPECT_EQ(plan.from_parent, 2u);
-  EXPECT_EQ(h.parent, 8u);
-  EXPECT_EQ(h.borrowed, 5u);  // pinned at the limit, not beyond
+  const auto out = h.acquire(8, kPartialOk);
+  EXPECT_TRUE(out.admitted);
+  EXPECT_EQ(out.from_child, 2u);
+  EXPECT_EQ(out.from_parent, 0u);
+  EXPECT_EQ(h.parent, 10u);
+  EXPECT_EQ(h.borrowed, 3u);
+  EXPECT_TRUE(h.tail().empty());
+}
+
+TEST(QuotaPolicy, DegradedAcquireOfNothingRejects) {
+  PlanHarness h{.child = 0, .parent = 0, .borrowed = 0, .limit = 8};
+  const auto out = h.acquire(3, kPartialOk);
+  EXPECT_FALSE(out.admitted);
+  EXPECT_EQ(h.borrowed, 0u);
+  EXPECT_EQ(h.tail(), (Steps{{QuotaOp::kUnreserve, kChild, 3}}));
+}
+
+TEST(QuotaPolicy, SettleReturnsChildThenParentThenTheWholeBorrow) {
+  // A grant of 3 child + 4 parent tokens, of which 1 and 2 come back
+  // unspent: each pool gets its unspent part, and the whole parent part
+  // leaves the borrow.
+  PlanHarness h{.child = 0, .parent = 0, .borrowed = 4, .limit = 8};
+  h.run(QuotaPlan::settle({true, 3, 4}, 1, 2));
+  EXPECT_EQ(h.child, 1u);
+  EXPECT_EQ(h.parent, 2u);
+  EXPECT_EQ(h.borrowed, 0u);
+  EXPECT_EQ(h.trace, (Steps{{QuotaOp::kPut, kChild, 1},
+                            {QuotaOp::kPut, kParent, 2},
+                            {QuotaOp::kUnreserve, kChild, 4}}));
+
+  // A fully spent child-only grant settles without a step.
+  PlanHarness idle{.child = 0, .parent = 0, .borrowed = 0, .limit = 8};
+  idle.run(QuotaPlan::settle({true, 3, 0}, 0, 0));
+  EXPECT_TRUE(idle.trace.empty());
+}
+
+TEST(QuotaPolicy, ReleaseUndoesAnAcquireExactly) {
+  PlanHarness h{.child = 2, .parent = 10, .borrowed = 1, .limit = 5};
+  const auto out = h.acquire(6);
+  ASSERT_TRUE(out.admitted);
+  h.run(QuotaPlan::settle(out, out.from_child, out.from_parent));
+  EXPECT_EQ(h.child, 2u);
+  EXPECT_EQ(h.parent, 10u);
+  EXPECT_EQ(h.borrowed, 1u);
+}
+
+TEST(QuotaPolicy, SettleOptionsOnlyEverDegrade) {
+  const OverloadActions nominal = overload_actions(OverloadTier::kNominal);
+  const OverloadActions degrade =
+      overload_actions(OverloadTier::kDegradePartial);
+  EXPECT_FALSE(settle_options(nominal, kAllOrNothing).partial_ok);
+  EXPECT_TRUE(settle_options(nominal, kPartialOk).partial_ok);
+  EXPECT_TRUE(settle_options(degrade, kAllOrNothing).partial_ok);
+  EXPECT_TRUE(settle_options(degrade, kPartialOk).partial_ok);
 }
 
 TEST(OverloadPolicy, EscalationIsImmediate) {
@@ -370,9 +440,9 @@ TEST(ReconfigPolicy, BorrowOverageIsNeverClawedBack) {
   EXPECT_EQ(borrow_overage(5, 10), 0u);
   // The overage only ever drains through releases: allowance is zero while
   // any overage exists, so no new borrow can extend it.
-  EXPECT_EQ(borrow_allowance(1, 40, 10), 0u);
-  EXPECT_EQ(borrow_allowance(1, 10, 10), 0u);
-  EXPECT_EQ(borrow_allowance(1, 9, 10), 1u);
+  EXPECT_EQ(borrow_reservation(1, 40, 10), 0u);
+  EXPECT_EQ(borrow_reservation(1, 10, 10), 0u);
+  EXPECT_EQ(borrow_reservation(1, 9, 10), 1u);
 }
 
 TEST(OverloadPolicy, ShedSetPicksLowWeightsAndNeverShedsEveryone) {
