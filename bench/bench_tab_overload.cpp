@@ -83,7 +83,7 @@ constexpr ScriptStep kScript[] = {
 
 constexpr std::uint64_t kChildInitial = 2;
 // The parent pool is deliberately smaller than the weight-2 tenant's
-// borrow cap: the reservation commits in full (reserve_borrow is
+// borrow cap: the reservation commits in full (borrow_reservation is
 // all-or-nothing, degrade or not) but the pool take comes up short, which
 // is exactly the shape the degrade-partial tier exists for.
 constexpr std::uint64_t kParentInitial = 1;

@@ -147,52 +147,41 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
   vtime::ServiceDraw local_draw(cfg.local_service,
                                 cfg.base.exponential_service, rng);
 
-  // The coordinator's two-level quota steps the svc::QuotaPlan that
-  // QuotaHierarchy steps: the tenant node's lease account is an instant
-  // child pool, the reservation is its `borrowed` word, and the parent
-  // takes and puts go through the parent model with the tenant as thread
-  // hint. Grants decide partial, as PeerCluster::renew asks.
-  using Finished = std::function<void(const svc::QuotaOutcome&)>;
-  std::function<void(std::size_t, svc::QuotaPlan, Finished)> coordinate =
-      [&](std::size_t tenant, svc::QuotaPlan plan, Finished after) {
-        for (svc::QuotaStep s = plan.next(); s.op != svc::QuotaOp::kDone;
-             s = plan.next()) {
-          auto resume = [&, tenant, plan,
-                         after](std::uint64_t got = 0) mutable {
-            plan.done(got);
-            coordinate(tenant, plan, std::move(after));
-          };
-          switch (s.op) {
-            case svc::QuotaOp::kTake: {
-              if (s.parent) {
-                parent.try_decrement_n(tenant, s.n, std::move(resume));
-                return;
-              }
-              const std::uint64_t got = std::min(s.n, account[tenant]);
-              account[tenant] -= got;
-              plan.done(got);
-              break;
-            }
-            case svc::QuotaOp::kPut:
-              if (s.parent) {
-                parent.refund_n(tenant, s.n, std::move(resume));
-                return;
-              }
-              account[tenant] += s.n;
-              plan.done();
-              break;
-            case svc::QuotaOp::kReserve:
-            case svc::QuotaOp::kUnreserve:
-              plan.book(borrowed[tenant], borrow_limit);
-              break;
-            case svc::QuotaOp::kDecide:
-              plan.decide(svc::kPartialOk);
-              break;
-            case svc::QuotaOp::kDone: break;
-          }
-        }
-        after(plan.result());
-      };
+  // The coordinator's side of a node's two-level quota: its lease account
+  // is an instant child pool, its `borrowed` word the reservation, and the
+  // parent model takes the node as thread hint. Grants decide partial, as
+  // PeerCluster::renew asks.
+  struct Coordinator {
+    CounterModel* parent;
+    std::uint64_t *account, *word;
+    std::uint64_t cap;
+    std::size_t tenant;
+
+    void take(bool from_parent, std::uint64_t n, DoneN done) const {
+      if (from_parent) {
+        parent->try_decrement_n(tenant, n, std::move(done));
+        return;
+      }
+      const std::uint64_t got = std::min(n, *account);
+      *account -= got;
+      done(got);
+    }
+    void put(bool to_parent, std::uint64_t n, vtime::Done done) const {
+      if (to_parent) {
+        parent->refund_n(tenant, n, std::move(done));
+        return;
+      }
+      *account += n;
+      done();
+    }
+    std::uint64_t& borrowed() const { return *word; }
+    std::uint64_t limit() const { return cap; }
+    void decide(svc::QuotaPlan& plan) const { plan.decide(svc::kPartialOk); }
+  };
+  const auto coordinator = [&](std::size_t tenant) {
+    return Coordinator{&parent, &account[tenant], &borrowed[tenant],
+                       borrow_limit, tenant};
+  };
 
   // One expiry/debt refund landing at the coordinator: the exact
   // lease_expiry_refund split the live ledger applies via settle_spent.
@@ -201,11 +190,11 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
         d.parts.from_child, d.parts.from_parent, d.recovered);
     res.expiry_refunded += d.recovered;
     if (is_debt) res.debt_reconciled += d.recovered;
-    coordinate(d.tenant,
-               svc::QuotaPlan::settle(
-                   {true, d.parts.from_child, d.parts.from_parent},
-                   split.refund_child, split.refund_parent),
-               [&](const svc::QuotaOutcome&) { touch(); });
+    vtime::step_quota_plan(
+        coordinator(d.tenant),
+        svc::QuotaPlan::settle({true, d.parts.from_child, d.parts.from_parent},
+                               split.refund_child, split.refund_parent),
+        [&](const svc::QuotaOutcome&) { touch(); });
   };
 
   // Lease expiry: events re-arm while renewals keep extending the expiry
@@ -315,22 +304,23 @@ ClusterSimResult simulate_cluster(const svc::BackendSpec& parent_spec,
           renew_finish(op);
           return;
         }
-        coordinate(node, svc::QuotaPlan::acquire(ask),
-                   [&, node, op](const svc::QuotaOutcome& g) {
-                     eng.at(eng.now() + uplat(node), [&, node, g, op] {
-                       const std::uint64_t total = g.tokens();
-                       if (total > 0) {
-                         add_lease(node, node, {g.from_child, g.from_parent});
-                         local[node] += static_cast<std::int64_t>(total);
-                         ++res.renewals;
-                         res.renewal_tokens += total;
-                       }
-                       op->gained += total;
-                       --op->pending;
-                       touch();
-                       renew_finish(op);
-                     });
-                   });
+        vtime::step_quota_plan(
+            coordinator(node), svc::QuotaPlan::acquire(ask),
+            [&, node, op](const svc::QuotaOutcome& g) {
+              eng.at(eng.now() + uplat(node), [&, node, g, op] {
+                const std::uint64_t total = g.tokens();
+                if (total > 0) {
+                  add_lease(node, node, {g.from_child, g.from_parent});
+                  local[node] += static_cast<std::int64_t>(total);
+                  ++res.renewals;
+                  res.renewal_tokens += total;
+                }
+                op->gained += total;
+                --op->pending;
+                touch();
+                renew_finish(op);
+              });
+            });
       });
     }
     op->issued = true;

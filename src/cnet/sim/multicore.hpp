@@ -139,11 +139,9 @@ MulticoreResult simulate_multicore(const svc::BackendSpec& spec,
 // one shared parent pool model built from `parent_spec`. Hot/cold skew
 // pins `hot_core_share` of the cores to the first `hot_tenants` tenants.
 // Every acquire, release and shed refund steps the svc::QuotaPlan the real
-// hierarchy steps (svc/policy.hpp), with the all-or-nothing
-// borrow_reservation rule and the decision taken under the overload tier
-// in force at that instant; give-backs go through the models'
-// probe-invisible refund path, chunked by the shrink-batch divisor (a
-// sim-only divergence: the live NetTokenBucket::refund is never divided).
+// hierarchy steps (svc/policy.hpp), deciding under the overload tier in
+// force; give-backs take the models' probe-invisible refund path, chunked
+// by the shrink-batch divisor (sim-only: live refunds are never divided).
 struct QuotaSimConfig {
   ModelConfig base;
 
@@ -407,12 +405,10 @@ std::vector<svc::BackendSpec> multicore_sweep_specs();
 // FIFO latency servers whose service time depends on dc/rack proximity.
 // Every decision runs the exact rules the live tier runs: lease_grant /
 // lease_expiry_refund / debt_reconcile / renewal_target / peer_surplus /
-// lease_carve from dist/policy.hpp over the real dist::Topology walk. The
-// coordinator's global grants and expiry/debt refunds step the
-// svc::QuotaPlan QuotaHierarchy steps, with each node's lease account as
-// an instant child pool, so a renewal borrows all of its shortfall or
-// none. Each node's leases live in a real dist::LeaseLedger, the same
-// lease book PeerCluster keeps per node.
+// lease_carve from dist/policy.hpp over the real dist::Topology walk; the
+// coordinator's grants and expiry/debt refunds step QuotaHierarchy's
+// svc::QuotaPlan with each lease account as an instant child pool. Each
+// node's leases live in a real dist::LeaseLedger, as in PeerCluster.
 //
 // Workload: each node core runs a closed admit(1) loop against its node's
 // local pool. In leased mode an empty pool triggers a lease renewal —

@@ -198,7 +198,6 @@ class QuotaFlow {
     std::size_t tenant = 0;
     bool released = false;
   };
-  using After = std::function<void(const svc::QuotaOutcome&)>;
 
   void touch() { makespan_ = std::max(makespan_, eng.now()); }
   void next(std::size_t c, double at) {
@@ -222,66 +221,59 @@ class QuotaFlow {
                     });
   }
 
-  // Steps `plan` for tenant t with core c as the models' thread hint:
-  // takes and puts go through the models (puts chunked, as above), the
-  // reservation and its release act on `borrowed` at once, and the
-  // decision reads the tier in force at that instant — the same point
-  // QuotaHierarchy reads OverloadManager::actions() — and tallies the
-  // attempt. after(result) runs once the plan is finished.
-  void run(std::size_t c, std::size_t t, svc::QuotaPlan plan, After after) {
-    for (svc::QuotaStep s = plan.next(); s.op != svc::QuotaOp::kDone;
-         s = plan.next()) {
-      CounterModel* pool = s.parent ? &parent : children[t].get();
-      auto resume = [this, c, t, plan, after](std::uint64_t got = 0) mutable {
-        plan.done(got);
-        run(c, t, plan, std::move(after));
-      };
-      switch (s.op) {
-        case svc::QuotaOp::kTake:
-          pool->try_decrement_n(c, s.n, std::move(resume));
-          return;
-        case svc::QuotaOp::kPut:
-          refund_chunked(pool, c, s.n, std::move(resume));
-          return;
-        case svc::QuotaOp::kReserve:
-        case svc::QuotaOp::kUnreserve:
-          plan.book(borrowed[t], res.limit_per_tenant[t]);
-          res.peak_borrowed_per_tenant[t] =
-              std::max(res.peak_borrowed_per_tenant[t], borrowed[t]);
-          break;
-        case svc::QuotaOp::kDecide:
-          plan.decide(svc::settle_options(actions, svc::kAllOrNothing));
-          tally(c, t, plan.result());
-          break;
-        case svc::QuotaOp::kDone: break;
-      }
-    }
-    touch();
-    after(plan.result());
-  }
+  // Tenant t's pool models, core c the thread hint: puts are chunked as
+  // above, and the decision reads the tier in force at that instant, as
+  // QuotaHierarchy reads OverloadManager::actions(), and tallies the
+  // attempt. The peak borrow is read at the parent take, which directly
+  // follows a won reservation.
+  struct Levels {
+    QuotaFlow* flow;
+    std::size_t c, t;
 
-  void tally(std::size_t c, std::size_t t, const svc::QuotaOutcome& out) {
-    ++res.acquire_ops;
-    ++res.attempts_per_tenant[t];
-    ++cores_[c];
-    if (!out.admitted) {
-      ++res.rejected;
-      ++(t < cfg_.hot_tenants ? res.hot_rejected : res.cold_rejected);
-      return;
+    CounterModel& pool(bool parent) const {
+      return parent ? flow->parent : *flow->children[t];
     }
-    ++res.admitted;
-    ++res.admitted_per_tenant[t];
-    res.granted_child_tokens += out.from_child;
-    res.granted_parent_tokens += out.from_parent;
-    if (out.tokens() < cfg_.acquire_cost) ++degraded_admits;
-  }
+    void take(bool parent, std::uint64_t n, vtime::DoneN done) const {
+      std::uint64_t& peak = flow->res.peak_borrowed_per_tenant[t];
+      if (parent) peak = std::max(peak, borrowed());
+      pool(parent).try_decrement_n(c, n, std::move(done));
+    }
+    void put(bool parent, std::uint64_t n, Done done) const {
+      flow->refund_chunked(&pool(parent), c, n, std::move(done));
+    }
+    std::uint64_t& borrowed() const { return flow->borrowed[t]; }
+    std::uint64_t limit() const { return flow->res.limit_per_tenant[t]; }
+    void decide(svc::QuotaPlan& plan) const {
+      plan.decide(svc::settle_options(flow->actions, svc::kAllOrNothing));
+      const svc::QuotaOutcome out = plan.result();
+      QuotaSimResult& res = flow->res;
+      ++res.acquire_ops;
+      ++res.attempts_per_tenant[t];
+      ++flow->cores_[c];
+      if (!out.admitted) {
+        ++res.rejected;
+        ++(t < flow->cfg_.hot_tenants ? res.hot_rejected : res.cold_rejected);
+        return;
+      }
+      ++res.admitted;
+      ++res.admitted_per_tenant[t];
+      res.granted_child_tokens += out.from_child;
+      res.granted_parent_tokens += out.from_parent;
+      if (out.tokens() < flow->cfg_.acquire_cost) ++flow->degraded_admits;
+    }
+  };
 
   // A grant's end: every part back to the level it came from, through the
   // same settle plan QuotaHierarchy::release steps.
   void release(std::size_t c, std::size_t idx, Done after) {
     const Grant& g = grants_[idx];
-    run(c, g.tenant, svc::QuotaPlan::settle(g, g.from_child, g.from_parent),
-        [after = std::move(after)](const svc::QuotaOutcome&) { after(); });
+    vtime::step_quota_plan(
+        Levels{this, c, g.tenant},
+        svc::QuotaPlan::settle(g, g.from_child, g.from_parent),
+        [this, after = std::move(after)](const svc::QuotaOutcome&) {
+          touch();
+          after();
+        });
   }
 
   // One attempt: the acquire plan, then on admit a held grant whose hold
@@ -305,8 +297,10 @@ class QuotaFlow {
       next(c, eng.now() + cfg_.think_time);
       return;
     }
-    run(c, t, svc::QuotaPlan::acquire(cfg_.acquire_cost),
+    vtime::step_quota_plan(
+        Levels{this, c, t}, svc::QuotaPlan::acquire(cfg_.acquire_cost),
         [this, c, t](const svc::QuotaOutcome& out) {
+          touch();
           if (!out.admitted) {
             next(c, eng.now() + cfg_.think_time);
             return;

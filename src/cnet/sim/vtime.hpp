@@ -696,4 +696,46 @@ struct ModelStack {
 ModelStack make_model(const svc::BackendSpec& spec, Engine& eng,
                       const ModelConfig& cfg, util::Xoshiro256& rng);
 
+// ------------------------------------------------------------- quota plan
+
+// Steps a svc::QuotaPlan in virtual time from `phase` on, as
+// svc::run_quota_plan steps it live; simulate_quota, simulate_overload and
+// simulate_cluster's coordinator step every acquire and settlement here.
+// levels.take/put(parent, n, done) move tokens and call done(got), at once
+// or later; the reservation books on levels.borrowed() against
+// levels.limit() at once, by the live CAS's all-or-nothing rule; and
+// levels.decide(plan) settles the acquire. after(result) runs at the end.
+template <class Levels>
+void step_quota_plan(const Levels& levels, svc::QuotaPlan plan,
+                     std::function<void(const svc::QuotaOutcome&)> after,
+                     int phase = 0) {
+  for (; phase < svc::QuotaPlan::kPhases; ++phase) {
+    const svc::QuotaStep s = plan.step(phase);
+    if (s.n == 0) continue;
+    // A take or a put hands the rest of the plan to the pool.
+    const auto rest = [&] {
+      return [levels, plan, phase, after = std::move(after)](
+                 std::uint64_t got = 0) mutable {
+        plan.done(phase, got);
+        step_quota_plan(levels, plan, std::move(after), phase + 1);
+      };
+    };
+    std::uint64_t& borrowed = levels.borrowed();
+    switch (s.op) {
+      case svc::QuotaOp::kTake: levels.take(s.parent, s.n, rest()); return;
+      case svc::QuotaOp::kPut: levels.put(s.parent, s.n, rest()); return;
+      case svc::QuotaOp::kReserve: {
+        const std::uint64_t got =
+            svc::borrow_reservation(s.n, borrowed, levels.limit());
+        borrowed += got;
+        plan.done(phase, got);
+        break;
+      }
+      case svc::QuotaOp::kUnreserve: borrowed -= s.n; break;
+      case svc::QuotaOp::kDecide: levels.decide(plan); break;
+    }
+  }
+  after(plan.result());
+}
+
 }  // namespace cnet::sim::vtime

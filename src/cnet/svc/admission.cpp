@@ -48,10 +48,8 @@ AdmissionController::Ticket AdmissionController::admit(
   // silently partial bucket would leak tokens through every all-or-nothing
   // caller that compares the result against `cost`. Either way 0 is the
   // one reject: an all-or-nothing consume returns 0 or cost.
-  const ConsumeOptions opts =
-      overload_ == nullptr
-          ? kAllOrNothing
-          : settle_options(overload_->actions(), kAllOrNothing);
+  ConsumeOptions opts = kAllOrNothing;
+  if (overload_ != nullptr) opts = settle_options(overload_->actions(), opts);
   const std::uint64_t charged = bucket_.consume(thread_hint, cost, opts);
   if (charged == 0) return ticket;  // rejected, nothing charged, no ID burned
   ticket.admitted = true;

@@ -47,62 +47,57 @@ QuotaHierarchy::QuotaHierarchy(const Config& cfg,
   }
 }
 
-std::uint64_t QuotaHierarchy::reserve_borrow(std::size_t thread_hint,
-                                             std::size_t tenant,
-                                             TenantState& state,
-                                             std::uint64_t want) {
-  return weights_.read(thread_hint, [&](const WeightState& ws) -> std::uint64_t {
-    const std::uint64_t limit = ws.limits[tenant];
-    std::uint64_t cur = state.borrowed.load(std::memory_order_relaxed);
-    for (;;) {
-      // After a reweigh shrinks the limit below the outstanding borrow, the
-      // rule yields 0 until releases drain the overage — the new cap binds
-      // without any claw-back.
-      const std::uint64_t got = borrow_reservation(want, cur, limit);
-      if (got == 0) return 0;
-      // acq_rel: a winning reservation must observe the parent-pool refund
-      // that preceded the release which freed this headroom (the plan puts
-      // the tokens back *before* shrinking borrowed).
-      if (state.borrowed.compare_exchange_weak(cur, cur + got,
-                                               std::memory_order_acq_rel)) {
-        return got;
-      }
-    }
-  });
-}
+// One tenant's side of the hierarchy: its bucket, its reservation word and
+// the parent; `opts` (with the overload degrade action on top) decides.
+struct QuotaHierarchy::Pools {
+  QuotaHierarchy& q;
+  std::size_t hint;
+  std::size_t tenant;
+  ConsumeOptions opts;
 
-QuotaOutcome QuotaHierarchy::run(std::size_t thread_hint, std::size_t tenant,
-                                 QuotaPlan&& plan, ConsumeOptions opts) {
-  TenantState& state = tenants_[tenant];
-  for (QuotaStep s = plan.next(); s.op != QuotaOp::kDone; s = plan.next()) {
-    NetTokenBucket& pool = s.parent ? parent_ : *state.bucket;
-    switch (s.op) {
-      case QuotaOp::kTake:
-        // Always partial: the plan's decision, not the pool, says whether
-        // a short yield admits.
-        plan.done(pool.consume(thread_hint, s.n, kPartialOk));
-        break;
-      case QuotaOp::kPut:
-        pool.refund(thread_hint, s.n);
-        plan.done();
-        break;
-      case QuotaOp::kReserve:
-        plan.done(reserve_borrow(thread_hint, tenant, state, s.n));
-        break;
-      case QuotaOp::kUnreserve:
-        state.borrowed.fetch_sub(s.n, std::memory_order_release);
-        plan.done();
-        break;
-      case QuotaOp::kDecide:
-        plan.decide(overload_ == nullptr
-                        ? opts
-                        : settle_options(overload_->actions(), opts));
-        break;
-      case QuotaOp::kDone: break;
-    }
+  TenantState& state() const { return q.tenants_[tenant]; }
+  NetTokenBucket& pool(bool parent) const {
+    return parent ? q.parent_ : *state().bucket;
   }
-  return plan.result();
-}
+  // Always partial: the plan's decision, not the pool, says whether a
+  // short yield admits.
+  std::uint64_t take(bool parent, std::uint64_t n) const {
+    return pool(parent).consume(hint, n, kPartialOk);
+  }
+  void put(bool parent, std::uint64_t n) const { pool(parent).refund(hint, n); }
+  // Secures exactly n borrow headroom or none; the CAS loop over
+  // borrow_reservation keeps borrowed <= limit an always-true invariant.
+  // The limit is read inside one engine read section, so the whole loop
+  // runs against a single weight generation.
+  std::uint64_t reserve(std::uint64_t n) const {
+    return q.weights_.read(hint, [&](const WeightState& ws) -> std::uint64_t {
+      const std::uint64_t limit = ws.limits[tenant];
+      auto& borrowed = state().borrowed;
+      std::uint64_t cur = borrowed.load(std::memory_order_relaxed);
+      for (;;) {
+        // After a reweigh shrinks the limit below the outstanding borrow,
+        // the rule yields 0 until releases drain the overage — the new cap
+        // binds without any claw-back.
+        const std::uint64_t got = borrow_reservation(n, cur, limit);
+        if (got == 0) return 0;
+        // acq_rel: a winning reservation must observe the parent-pool
+        // refund that preceded the release which freed this headroom (the
+        // plan puts the tokens back *before* shrinking borrowed).
+        if (borrowed.compare_exchange_weak(cur, cur + got,
+                                           std::memory_order_acq_rel)) {
+          return got;
+        }
+      }
+    });
+  }
+  void unreserve(std::uint64_t n) const {
+    state().borrowed.fetch_sub(n, std::memory_order_release);
+  }
+  ConsumeOptions options() const {
+    if (q.overload_ == nullptr) return opts;
+    return settle_options(q.overload_->actions(), opts);
+  }
+};
 
 QuotaHierarchy::Grant QuotaHierarchy::acquire(std::size_t thread_hint,
                                               std::size_t tenant,
@@ -113,7 +108,9 @@ QuotaHierarchy::Grant QuotaHierarchy::acquire(std::size_t thread_hint,
   // A shed tenant is rejected before any pool is touched: no tokens move,
   // so there is nothing to refund and conservation is trivial.
   if (tenants_[tenant].shed.load(std::memory_order_acquire)) return {{}, id};
-  return {run(thread_hint, tenant, QuotaPlan::acquire(tokens), opts), id};
+  return {run_quota_plan(QuotaPlan::acquire(tokens),
+                         Pools{*this, thread_hint, tenant, opts}),
+          id};
 }
 
 void QuotaHierarchy::settle_spent(std::size_t thread_hint, const Grant& grant,
@@ -128,8 +125,8 @@ void QuotaHierarchy::settle_spent(std::size_t thread_hint, const Grant& grant,
   // Reweigh-independent: the grant records what was borrowed under
   // whatever limits then held, so the settlement is exact under any
   // current weight generation.
-  run(thread_hint, grant.tenant,
-      QuotaPlan::settle(grant, refund_child, refund_parent), kAllOrNothing);
+  run_quota_plan(QuotaPlan::settle(grant, refund_child, refund_parent),
+                 Pools{*this, thread_hint, grant.tenant, kAllOrNothing});
 }
 
 std::uint64_t QuotaHierarchy::reweigh(

@@ -28,12 +28,10 @@
 // guaranteed to find its tokens in the parent — a hot tenant saturating
 // its cap cannot make a cold tenant's in-cap borrow fail.
 //
-// The protocol itself is svc::QuotaPlan (svc/policy.hpp): acquire,
-// release and settle_spent step it over the buckets and the reservation
-// CAS, and the virtual-time simulator (sim::simulate_quota,
-// sim::simulate_cluster) steps the same plan over its pool models, so
-// tenant-isolation and parent-contention claims are reproducible
-// deterministically on any host.
+// The protocol itself is svc::QuotaPlan (svc/policy.hpp), stepped here
+// over the buckets and the reservation CAS, and by the virtual-time
+// simulators (sim::simulate_quota, sim::simulate_cluster) over their pool
+// models, so isolation and contention claims replay on any host.
 //
 // The weight vector is hot-reconfigurable: reweigh() stages a whole new
 // per-tenant limit vector (svc::ReconfigEngine) and publishes it as a
@@ -86,9 +84,8 @@ class QuotaHierarchy : public Reconfigurable {
     std::uint64_t borrow_budget = 0;
   };
 
-  // One admission outcome: the plan's parts, recording which level covered
-  // the grant, and its tenant. release() needs the whole struct back to
-  // undo it exactly.
+  // One admission outcome: the parts each level covered, and the tenant.
+  // release() needs the whole struct back to undo it exactly.
   struct Grant : QuotaOutcome {
     std::uint32_t tenant = 0;
   };
@@ -212,17 +209,9 @@ class QuotaHierarchy : public Reconfigurable {
       std::uint64_t borrow_budget, std::size_t tenants,
       const std::vector<std::uint64_t>& weights);
 
-  // Secures exactly `want` borrow headroom for the tenant, or none; the
-  // CAS loop over borrow_reservation keeps borrowed <= limit an
-  // always-true invariant. The limit is read inside one engine read
-  // section, so the whole loop runs against a single weight generation.
-  std::uint64_t reserve_borrow(std::size_t thread_hint, std::size_t tenant,
-                               TenantState& state, std::uint64_t want);
-
-  // Steps `plan` for the tenant over its bucket, its reservation word and
-  // the parent; `opts` (with the overload degrade action on top) decides.
-  QuotaOutcome run(std::size_t thread_hint, std::size_t tenant,
-                   QuotaPlan&& plan, ConsumeOptions opts);
+  // What run_quota_plan steps a tenant's plans over, the reservation CAS
+  // loop included (quota.cpp).
+  struct Pools;
 
   NetTokenBucket parent_;
   std::vector<TenantState> tenants_;

@@ -1,6 +1,6 @@
 // Schedule-checker driver: QuotaHierarchy borrow reservation.
 //
-// The protocol under test is reserve_borrow's CAS loop over the tenant's
+// The protocol under test is the reservation CAS loop over the tenant's
 // `borrowed` word inside a weights_ read section — the mechanism behind
 // the isolation guarantee (outstanding borrow never exceeds the weighted
 // limit, not even transiently). Three shapes: the reservation racing a

@@ -461,8 +461,12 @@ TEST(ClusterSim, GoldenSeedReferenceCell) {
   // field pinned: short-TTL churn on the 6-node reference topology with
   // two scripted partitions, so renewal, donation carve, expiry refund,
   // debt escrow and the bounded heal reconcile all carry real tokens.
-  // Re-pinned when the coordinator started stepping svc::QuotaPlan: its
-  // reservation became all-or-nothing and its refunds pool-before-headroom.
+  // Re-pinned when the coordinator started stepping svc::QuotaPlan, for two
+  // causes. The all-or-nothing reservation alone, with the old
+  // headroom-before-pool refund order, gives admitted 1477, renewals 56,
+  // renewal_tokens 4749, expiries 84, makespan 831.6, p99 132.4 (from
+  // 1476, 54, 4536, 79, 666.2, 117.0); the plan's pool-before-headroom
+  // refund order on top gives the values below.
   ClusterSimConfig cfg = cluster_sim_reference_config(6);
   cfg.ops_per_core = 96;
   cfg.lease_ttl = 12.0;

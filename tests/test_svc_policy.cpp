@@ -129,38 +129,43 @@ TEST(QuotaPolicy, BorrowReservationIsAllOrNothing) {
   EXPECT_EQ(borrow_reservation(0, 3, 8), 0u);
 }
 
-// Steps the plan synchronously over two integer pools and a reservation
-// word, as QuotaHierarchy does over its buckets, recording every step.
+// The pools run_quota_plan steps a plan over, as QuotaHierarchy's are:
+// two integer pools and a reservation word under the shared all-or-nothing
+// rule, recording every step.
 struct PlanHarness {
   std::uint64_t child, parent, borrowed, limit;
   std::vector<QuotaStep> trace{};
+  ConsumeOptions decide_with{};
+
+  std::uint64_t take(bool from_parent, std::uint64_t n) {
+    trace.push_back({QuotaOp::kTake, from_parent, n});
+    std::uint64_t& pool = from_parent ? parent : child;
+    const std::uint64_t got = std::min(n, pool);
+    pool -= got;
+    return got;
+  }
+  void put(bool to_parent, std::uint64_t n) {
+    trace.push_back({QuotaOp::kPut, to_parent, n});
+    (to_parent ? parent : child) += n;
+  }
+  std::uint64_t reserve(std::uint64_t n) {
+    trace.push_back({QuotaOp::kReserve, false, n});
+    const std::uint64_t got = borrow_reservation(n, borrowed, limit);
+    borrowed += got;
+    return got;
+  }
+  void unreserve(std::uint64_t n) {
+    trace.push_back({QuotaOp::kUnreserve, false, n});
+    borrowed -= n;
+  }
+  ConsumeOptions options() {
+    trace.push_back({QuotaOp::kDecide});
+    return decide_with;
+  }
 
   QuotaOutcome run(QuotaPlan plan, ConsumeOptions opts = {}) {
-    for (QuotaStep s = plan.next(); s.op != QuotaOp::kDone; s = plan.next()) {
-      trace.push_back(s);
-      std::uint64_t& pool = s.parent ? parent : child;
-      switch (s.op) {
-        case QuotaOp::kTake: {
-          const std::uint64_t got = std::min(s.n, pool);
-          pool -= got;
-          plan.done(got);
-          break;
-        }
-        case QuotaOp::kPut:
-          pool += s.n;
-          plan.done();
-          break;
-        case QuotaOp::kReserve:  // the shared all-or-nothing rule
-        case QuotaOp::kUnreserve:
-          plan.book(borrowed, limit);
-          break;
-        case QuotaOp::kDecide:
-          plan.decide(opts);
-          break;
-        case QuotaOp::kDone: break;
-      }
-    }
-    return plan.result();
+    decide_with = opts;
+    return run_quota_plan(plan, *this);
   }
   QuotaOutcome acquire(std::uint64_t tokens, ConsumeOptions opts = {}) {
     return run(QuotaPlan::acquire(tokens), opts);
