@@ -199,27 +199,6 @@ bool run_zero_lease() {
          cluster.total_spent() + drained == cluster.total_initial_tokens();
 }
 
-bool sim_identical(const sim::ClusterSimResult& a,
-                   const sim::ClusterSimResult& b) {
-  return a.makespan == b.makespan && a.attempts == b.attempts &&
-         a.admitted == b.admitted && a.rejected == b.rejected &&
-         a.spent == b.spent && a.renewals == b.renewals &&
-         a.renewal_tokens == b.renewal_tokens &&
-         a.donations == b.donations && a.donated_tokens == b.donated_tokens &&
-         a.expiries == b.expiries &&
-         a.expiry_recovered == b.expiry_recovered &&
-         a.expiry_refunded == b.expiry_refunded &&
-         a.debt_created == b.debt_created &&
-         a.debt_reconciled == b.debt_reconciled &&
-         a.partition_global_touches == b.partition_global_touches &&
-         a.final_parent_pool == b.final_parent_pool &&
-         a.final_account_tokens == b.final_account_tokens &&
-         a.final_local_tokens == b.final_local_tokens &&
-         a.p50_admission == b.p50_admission &&
-         a.p99_admission == b.p99_admission &&
-         a.parent_stalls == b.parent_stalls;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -349,7 +328,7 @@ int main(int argc, char** argv) {
                  opts);
 
     const auto again = sim::simulate_cluster(parent, part);
-    bench::check("cluster_sim_determinism", sim_identical(cp, again), opts);
+    bench::check("cluster_sim_determinism", cp == again, opts);
   }
 
   return bench::finish(opts);

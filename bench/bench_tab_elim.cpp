@@ -15,6 +15,10 @@
 //           the central word; reports the observed stall rate and whether
 //           the LoadStats probe triggered the central→network swap.
 //
+// Every table runs on the shared live harness (bench/support/live.hpp);
+// thread counts the affinity mask cannot give one CPU each run co-scheduled,
+// and their cells say so.
+//
 // After every run the conservation invariant is drained and recorded as a
 // named check (--json + exit code), which CI gates on: successful
 // decrements plus what remains in the pool must equal the increments,
@@ -29,12 +33,20 @@
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/prng.hpp"
 #include "cnet/util/table.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 #include "support/report.hpp"
 
 namespace {
 
 using namespace cnet;
+
+// Pure throughput: no latency samples. Smoke windows are small enough for
+// a loaded CI runner to swallow whole; the 64-op floor every run passes
+// keeps each row non-vacuous.
+perfbench::PhasePlan plan_for(bool smoke) {
+  return smoke ? perfbench::PhasePlan{0.01, 0.05, 10, 0}
+               : perfbench::PhasePlan{0.1, 0.5, 10, 0};
+}
 
 struct MixedRunResult {
   double ops_per_sec = 0.0;
@@ -70,28 +82,22 @@ MixedRunResult run_mixed(const svc::BackendSpec& spec, std::size_t threads,
     tallies[t].rng = 0x9e3779b97f4a7c15ULL * (t + 1) + 0xe11b;
   }
 
-  bench::LoadGenConfig lg;
-  lg.threads = threads;
-  lg.warmup_seconds = smoke ? 0.01 : 0.1;
-  lg.measure_seconds = smoke ? 0.05 : 0.5;
-  // Smoke windows are small enough for a loaded CI runner to swallow
-  // whole; the floor keeps every row non-vacuous.
-  lg.min_ops_per_thread = 64;
-  lg.latency_sample_every = 0;
-  const auto loadgen = bench::run_loadgen(lg, [&](std::size_t t) {
-    Tally& tally = tallies[t];
-    ++tally.ops;
-    if (util::xorshift64_star(tally.rng) % 100 < dec_percent) {
-      if (counter->try_fetch_decrement(t)) ++tally.decs;
-    } else {
-      (void)counter->fetch_increment(t);
-      ++tally.incs;
-    }
-    return std::uint64_t{1};
+  const auto run = bench::run_live(threads, plan_for(smoke), 64,
+                                   [&](std::size_t c) {
+    return [&counter, &tally = tallies[c], c, dec_percent] {
+      ++tally.ops;
+      if (util::xorshift64_star(tally.rng) % 100 < dec_percent) {
+        if (counter->try_fetch_decrement(c)) ++tally.decs;
+      } else {
+        (void)counter->fetch_increment(c);
+        ++tally.incs;
+      }
+      return true;
+    };
   });
 
   MixedRunResult result;
-  result.ops_per_sec = loadgen.ops_per_sec;
+  result.ops_per_sec = run.ops_per_s();
   for (const auto& tally : tallies) {
     result.incs += tally.incs;
     result.decs += tally.decs;
@@ -146,7 +152,8 @@ int main(int argc, char** argv) {
     for (const auto threads : thread_sweep) {
       for (const auto& spec : {plain, elim}) {
         const auto r = run_mixed(spec, threads, 50, opts.smoke);
-        table.add_row({svc::backend_spec_name(spec), util::fmt_int(threads),
+        table.add_row({svc::backend_spec_name(spec),
+                       util::fmt_int(threads) + bench::co_sched_flag(threads),
                        bench::fmt_rate(r.ops_per_sec), hit_rate_cell(r),
                        trav_per_op_cell(r), r.conserved ? "yes" : "NO"});
         // `ops > 0` folded in: a zero-op run conserves vacuously, and a
@@ -173,7 +180,8 @@ int main(int argc, char** argv) {
       opts.smoke ? std::vector<unsigned>{50}
                  : std::vector<unsigned>{0, 25, 50};
   bench::section("Table B: elimination vs mix ratio, " +
-                 std::to_string(mix_threads) + " threads");
+                 std::to_string(mix_threads) + " threads" +
+                 bench::co_sched_flag(mix_threads));
   {
     util::Table table(
         {"backend", "dec%", "ops/s", "hit-rate", "trav/op", "conserved"});
@@ -205,32 +213,32 @@ int main(int argc, char** argv) {
       cfg.tuning.min_window_ops = 1024;
       svc::AdaptiveCounter counter(cfg);
 
-      std::vector<util::Padded<std::uint64_t>> credit(threads);
-      bench::LoadGenConfig lg;
-      lg.threads = threads;
-      lg.warmup_seconds = opts.smoke ? 0.01 : 0.1;
-      lg.measure_seconds = opts.smoke ? 0.05 : 0.5;
-      lg.min_ops_per_thread = 64;
-      lg.latency_sample_every = 0;
-      const auto r = bench::run_loadgen(lg, [&](std::size_t t) {
+      const auto r = bench::run_live(threads, plan_for(opts.smoke), 64,
+                                     [&](std::size_t c) {
         // Each thread alternates a 64-token refill with 64 consumes, so the
         // pool stays balanced and both counter paths see contention.
-        if (credit[t].value == 0) {
-          std::int64_t scratch[64];
-          counter.fetch_increment_batch(t, 64, scratch);
-          credit[t].value = 64;
-          return std::uint64_t{64};
-        }
-        --credit[t].value;
-        (void)counter.try_fetch_decrement(t);
-        return std::uint64_t{1};
+        return [&counter, c, credit = 0u]() mutable {
+          if (credit == 0) {
+            std::int64_t scratch[64];
+            counter.fetch_increment_batch(c, 64, scratch);
+            credit = 64;
+          } else {
+            --credit;
+            (void)counter.try_fetch_decrement(c);
+          }
+          return true;
+        };
       });
+      // A 65-call cycle (one 64-token refill, 64 consumes) is 128 token
+      // ops; the column counts token ops.
+      const double ops_per_s = r.ops_per_s() * 128.0 / 65.0;
       const double stall_rate =
           counter.stats().ops() == 0
               ? 0.0
               : static_cast<double>(counter.stall_count()) /
                     static_cast<double>(counter.stats().ops());
-      table.add_row({util::fmt_int(threads), bench::fmt_rate(r.ops_per_sec),
+      table.add_row({util::fmt_int(threads) + bench::co_sched_flag(threads),
+                     bench::fmt_rate(ops_per_s),
                      util::fmt_double(stall_rate, 4),
                      counter.switched() ? "yes" : "no", counter.name()});
     }
@@ -241,6 +249,7 @@ int main(int argc, char** argv) {
         "the counter swaps to the batched network mid-run; on an idle or\n"
         "single-core box it honestly stays central.",
         opts);
+    bench::note_co_scheduled(thread_sweep.back(), opts);
   }
 
   return bench::finish(opts);

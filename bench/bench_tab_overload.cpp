@@ -394,27 +394,7 @@ int main(int argc, char** argv) {
     // Determinism: a re-run must reproduce the trace bit-identically,
     // transition instants and per-tenant shed counts included.
     const auto again = sim::simulate_overload(headline, cfg);
-    bool identical =
-        first.makespan == again.makespan &&
-        first.attempts == again.attempts &&
-        first.admitted == again.admitted &&
-        first.rejected == again.rejected &&
-        first.degraded_admits == again.degraded_admits &&
-        first.shed_rejects == again.shed_rejects &&
-        first.shed_refunded_tokens == again.shed_refunded_tokens &&
-        first.shed_rejects_per_tenant == again.shed_rejects_per_tenant &&
-        first.transitions.size() == again.transitions.size();
-    if (identical) {
-      for (std::size_t i = 0; i < first.transitions.size(); ++i) {
-        identical = identical &&
-                    first.transitions[i].time == again.transitions[i].time &&
-                    first.transitions[i].from == again.transitions[i].from &&
-                    first.transitions[i].to == again.transitions[i].to &&
-                    first.transitions[i].pressure ==
-                        again.transitions[i].pressure;
-      }
-    }
-    bench::check("overload_sim_determinism", identical, opts);
+    bench::check("overload_sim_determinism", first == again, opts);
   }
 
   return bench::finish(opts);

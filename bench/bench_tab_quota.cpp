@@ -7,7 +7,10 @@
 //           every parent backend spec. Each thread holds a small ring of
 //           grants (acquire → hold → release-oldest), so demand exceeds
 //           the child buckets and shortfalls exercise the weighted
-//           max-borrow path on the shared parent.
+//           max-borrow path on the shared parent. Runs on the shared
+//           live harness (bench/support/live.hpp); rates of runs with
+//           more threads than the affinity mask has CPUs less one are
+//           flagged co-scheduled.
 // Table D′ — sim::simulate_quota: the same workload shape on simulated
 //           cores, where the hot-tenant parent-contention ordering
 //           (network ≥ central at 64 cores, inverted at 4) is observable
@@ -39,7 +42,7 @@
 #include "cnet/svc/quota.hpp"
 #include "cnet/util/cacheline.hpp"
 #include "cnet/util/table.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 #include "support/report.hpp"
 
 namespace {
@@ -51,7 +54,7 @@ constexpr std::size_t kRingGrants = 2;       // grants each thread holds
 constexpr std::uint64_t kChildInitial = 1;   // per-tenant child pool
 
 struct QuotaRunResult {
-  double ops_per_sec = 0.0;
+  double ops_per_sec = 0.0;  // acquire attempts (with their release) per sec
   std::uint64_t attempts = 0;
   std::uint64_t admitted = 0;
   std::uint64_t cold_attempts = 0, cold_admitted = 0;
@@ -63,12 +66,17 @@ struct QuotaRunResult {
   bool conserved = false;  // exact drain + zero outstanding borrow
 };
 
+// Hot skew piles kHotExtraThreads extra threads onto tenant 0.
+std::size_t threads_for(std::size_t tenants, bool hot_skew) {
+  return tenants + (hot_skew ? kHotExtraThreads : 0);
+}
+
 // One Table D cell: T tenants, hot skew gives tenant 0 kHotExtraThreads
 // extra threads and a proportional weight; every thread runs the
 // acquire/hold/release ring against one shared hierarchy.
 QuotaRunResult run_quota(const svc::BackendSpec& parent_spec,
                          std::size_t tenants, bool hot_skew, bool smoke) {
-  const std::size_t threads = tenants + (hot_skew ? kHotExtraThreads : 0);
+  const std::size_t threads = threads_for(tenants, hot_skew);
 
   svc::QuotaHierarchy::Config cfg;
   cfg.parent = parent_spec;
@@ -101,38 +109,40 @@ QuotaRunResult run_quota(const svc::BackendSpec& parent_spec,
   };
   std::vector<Tally> tallies(threads);
 
-  bench::LoadGenConfig lg;
-  lg.threads = threads;
-  lg.warmup_seconds = smoke ? 0.01 : 0.1;
-  lg.measure_seconds = smoke ? 0.05 : 0.3;
-  lg.min_ops_per_thread = 64;
-  lg.latency_sample_every = 0;
-  const auto loadgen = bench::run_loadgen(lg, [&](std::size_t t) {
-    Tally& tally = tallies[t];
-    const std::size_t tenant = tenant_of(t);
-    svc::QuotaHierarchy::Grant& held = tally.ring[tally.slot];
-    tally.slot = (tally.slot + 1) % kRingGrants;
-    if (held.admitted) {
-      hierarchy.release(t, held);
-      held = {};
-    }
-    const auto grant = hierarchy.acquire(t, tenant, 1);
-    ++tally.attempts;
-    if (grant.admitted) {
-      ++tally.admitted;
-      held = grant;
-    }
-    // Isolation probe, sampled at the point of every mutation: the
-    // reservation CAS makes exceeding the cap structurally impossible, so
-    // any observation above it is a real regression.
-    const std::uint64_t borrowed = hierarchy.borrowed(tenant);
-    tally.peak_borrowed = std::max(tally.peak_borrowed, borrowed);
-    if (borrowed > hierarchy.borrow_limit(tenant)) tally.cap_violated = true;
-    return std::uint64_t{1};
+  // Pure throughput, no latency samples. The floor of one op per caller
+  // keeps a smoke window a loaded runner swallows whole from passing
+  // vacuously. It stays at one: on an elim+ parent a floor op's release
+  // waits for a partner while the callers already ready busy-wait on
+  // their CPUs, so a 64-op floor cost seconds per co-scheduled cell.
+  const perfbench::PhasePlan plan =
+      smoke ? perfbench::PhasePlan{0.01, 0.05, 10, 0}
+            : perfbench::PhasePlan{0.1, 0.3, 10, 0};
+  const auto run = bench::run_live(threads, plan, 1, [&](std::size_t t) {
+    return [&hierarchy, &tally = tallies[t], t, tenant = tenant_of(t)] {
+      svc::QuotaHierarchy::Grant& held = tally.ring[tally.slot];
+      tally.slot = (tally.slot + 1) % kRingGrants;
+      if (held.admitted) {
+        hierarchy.release(t, held);
+        held = {};
+      }
+      const auto grant = hierarchy.acquire(t, tenant, 1);
+      ++tally.attempts;
+      if (grant.admitted) {
+        ++tally.admitted;
+        held = grant;
+      }
+      // Isolation probe, sampled at the point of every mutation: the
+      // reservation CAS makes exceeding the cap structurally impossible,
+      // so any observation above it is a real regression.
+      const std::uint64_t borrowed = hierarchy.borrowed(tenant);
+      tally.peak_borrowed = std::max(tally.peak_borrowed, borrowed);
+      if (borrowed > hierarchy.borrow_limit(tenant)) tally.cap_violated = true;
+      return true;
+    };
   });
 
   QuotaRunResult result;
-  result.ops_per_sec = loadgen.ops_per_sec;
+  result.ops_per_sec = run.ops_per_s();
   result.cap_respected = true;
   for (std::size_t t = 0; t < threads; ++t) {
     const Tally& tally = tallies[t];
@@ -203,7 +213,8 @@ int main(int argc, char** argv) {
           const std::string skew = hot_skew ? "hot" : "uniform";
           table.add_row(
               {svc::backend_spec_name(spec), util::fmt_int(tenants), skew,
-               bench::fmt_rate(r.ops_per_sec),
+               bench::fmt_rate(r.ops_per_sec) +
+                   bench::co_sched_flag(threads_for(tenants, hot_skew)),
                pct_cell(r.admitted, r.attempts),
                pct_cell(r.cold_admitted, r.cold_attempts),
                hot_skew ? pct_cell(r.hot_admitted, r.hot_attempts) : "-",
@@ -233,6 +244,7 @@ int main(int argc, char** argv) {
         "hot admit% drops while cold tenants stay at 100%, the isolation\n"
         "the weighted max-borrow policy exists to provide.",
         opts);
+    bench::note_co_scheduled(threads_for(tenant_sweep.back(), true), opts);
   }
 
   std::puts("");
@@ -291,15 +303,7 @@ int main(int argc, char** argv) {
         sim::simulate_quota(headline, sim::quota_sim_reference_config(64));
     const auto again =
         sim::simulate_quota(headline, sim::quota_sim_reference_config(64));
-    const bool identical =
-        first.makespan == again.makespan &&
-        first.goodput_per_vtime == again.goodput_per_vtime &&
-        first.admitted == again.admitted &&
-        first.rejected == again.rejected &&
-        first.parent_stalls == again.parent_stalls &&
-        first.admitted_per_tenant == again.admitted_per_tenant &&
-        first.peak_borrowed_per_tenant == again.peak_borrowed_per_tenant;
-    bench::check("quota_sim_determinism", identical, opts);
+    bench::check("quota_sim_determinism", first == again, opts);
   }
 
   return bench::finish(opts);

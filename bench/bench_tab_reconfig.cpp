@@ -315,18 +315,7 @@ int main(int argc, char** argv) {
     cfg.spec_to = sim::reconfig_respec_target(headline);
     const auto first = sim::simulate_reconfig(headline, cfg);
     const auto again = sim::simulate_reconfig(headline, cfg);
-    const bool identical =
-        first.makespan == again.makespan &&
-        first.consumed == again.consumed &&
-        first.rejected == again.rejected &&
-        first.refilled == again.refilled &&
-        first.respec_staged_time == again.respec_staged_time &&
-        first.respec_commit_time == again.respec_commit_time &&
-        first.migrated_tokens == again.migrated_tokens &&
-        first.old_stalls == again.old_stalls &&
-        first.new_stalls == again.new_stalls &&
-        first.final_pool == again.final_pool;
-    bench::check("reconfig_sim_determinism", identical, opts);
+    bench::check("reconfig_sim_determinism", first == again, opts);
   }
 
   return bench::finish(opts);

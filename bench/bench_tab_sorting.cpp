@@ -1,8 +1,9 @@
 // §7: the sorting-network byproduct. C(w,w) with comparators substituted
 // for balancers is a depth-O(lg²w) sorting network; we benchmark it against
-// Batcher's bitonic sorter (same depth class) and std::sort via the
-// unified LoadGen harness, after re-verifying both schedules with the
-// 0-1 principle / random permutations.
+// Batcher's bitonic sorter (same depth class) and std::sort on one pinned
+// caller of the shared live harness (bench/support/live.hpp), after
+// re-verifying both schedules with the 0-1 principle / random
+// permutations.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -16,7 +17,7 @@
 #include "cnet/sort/comparator_net.hpp"
 #include "cnet/util/prng.hpp"
 #include "cnet/util/table.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 #include "support/report.hpp"
 
 namespace {
@@ -49,20 +50,17 @@ const sort::ComparatorSchedule& batcher_schedule(std::size_t w) {
   return it->second;
 }
 
-// One LoadGen op = sort one fresh copy of `input`; counted as w items.
-bench::LoadGenResult time_sorter(
-    const std::vector<int>& input,
-    const std::function<void(std::vector<int>&)>& sort_pass) {
-  bench::LoadGenConfig cfg;
-  cfg.threads = 1;  // the schedules are data-parallel but we time one lane
-  cfg.warmup_seconds = 0.05;
-  cfg.measure_seconds = 0.2;
-  const auto w = input.size();
-  return bench::run_loadgen(cfg, [&, w](std::size_t) {
-    auto v = input;
-    sort_pass(v);
-    return static_cast<std::uint64_t>(w);
-  });
+// Sort passes per second: one call sorts one fresh copy of `input`. The
+// schedules are data-parallel, but one lane is timed.
+double passes_per_s(const std::vector<int>& input,
+                    const std::function<void(std::vector<int>&)>& sort_pass) {
+  return bench::run_live(1, {0.05, 0.2, 10, 0}, 1, [&](std::size_t) {
+           return [&] {
+             auto v = input;
+             sort_pass(v);
+             return true;
+           };
+         }).ops_per_s();
 }
 
 }  // namespace
@@ -116,13 +114,11 @@ int main(int argc, char** argv) {
          nullptr},
     };
     for (const Row& row : rows) {
-      const auto res = time_sorter(input, row.pass);
-      const double passes =
-          static_cast<double>(res.total_ops) / static_cast<double>(w);
+      const double passes = passes_per_s(input, row.pass);
       table.add_row(
           {util::fmt_int(static_cast<std::int64_t>(w)), row.name,
-           bench::fmt_rate(res.ops_per_sec),
-           util::fmt_double(passes > 0 ? res.seconds * 1e9 / passes : 0, 0),
+           bench::fmt_rate(passes * static_cast<double>(w)),
+           util::fmt_double(passes > 0 ? 1e9 / passes : 0, 0),
            row.schedule ? util::fmt_int(static_cast<std::int64_t>(
                               row.schedule->comparators.size()))
                         : "-",
@@ -137,5 +133,6 @@ int main(int argc, char** argv) {
       "comparators; std::sort wins at scale (O(w lg w) adaptive), the\n"
       "schedules win on predictability and parallel depth.",
       opts);
+  bench::note_co_scheduled(1, opts);
   return cnet::bench::finish(opts);
 }

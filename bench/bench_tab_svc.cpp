@@ -1,5 +1,7 @@
-// Service-layer throughput: the svc building blocks under live threads via
-// the LoadGen harness, each swept across every counter backend kind.
+// Service-layer throughput: the svc building blocks under live threads on
+// the shared live harness (bench/support/live.hpp), each swept across every
+// counter backend kind. Thread counts the affinity mask cannot give one CPU
+// each run co-scheduled, and their labels say so.
 //
 // Table A — ShardedIdAllocator: sustained allocate() IDs/sec as the shard
 //           count grows (the dynomite-style composition: N counters,
@@ -18,7 +20,7 @@
 
 #include "cnet/svc/admission.hpp"
 #include "cnet/util/table.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 #include "support/report.hpp"
 
 namespace {
@@ -36,45 +38,45 @@ svc::ShardedIdAllocator make_allocator(svc::BackendKind kind,
       std::move(counters), {.max_threads = max_threads, .refill_batch = 16});
 }
 
-bench::LoadGenConfig loadgen_config(std::size_t threads, bool smoke) {
-  bench::LoadGenConfig cfg;
-  cfg.threads = threads;
-  cfg.warmup_seconds = smoke ? 0.01 : 0.15;
-  cfg.measure_seconds = smoke ? 0.04 : 0.6;
-  // A loaded CI runner can swallow the whole smoke window before a thread
-  // runs once; the floor keeps every cell non-vacuous.
-  cfg.min_ops_per_thread = 64;
-  cfg.latency_sample_every = 0;  // pure throughput
-  return cfg;
+// Pure throughput: no latency samples. A loaded CI runner can swallow the
+// whole smoke window before a caller runs once; the 64-op floor keeps every
+// cell non-vacuous.
+template <class MakeOp>
+double live_rate(std::size_t threads, bool smoke, MakeOp&& make_op) {
+  const perfbench::PhasePlan plan =
+      smoke ? perfbench::PhasePlan{0.01, 0.04, 10, 0}
+            : perfbench::PhasePlan{0.15, 0.6, 10, 0};
+  return bench::run_live(threads, plan, 64, make_op).ops_per_s();
 }
 
 double allocator_rate(svc::BackendKind kind, std::size_t shards,
                       std::size_t threads, bool smoke) {
   auto alloc = make_allocator(kind, shards, threads);
-  const auto result =
-      bench::run_loadgen(loadgen_config(threads, smoke), [&](std::size_t t) {
-        (void)alloc.allocate(t);
-        return std::uint64_t{1};
-      });
-  return result.ops_per_sec;
+  return live_rate(threads, smoke, [&](std::size_t c) {
+    return [&alloc, c] {
+      (void)alloc.allocate(c);
+      return true;
+    };
+  });
 }
 
 // Balanced load: each thread tops the pool up by its own consumption in
 // 256-token batches, so the pool hovers near its initial level and the
-// measured rate is the cost of the consume+refill mechanism itself.
+// measured rate is the cost of the consume+refill mechanism itself. No
+// thread can consume more than its own 256-token share, so no consume is
+// refused and calls/sec is consume(1)/sec.
 double bucket_rate(svc::BackendKind kind, std::size_t threads, bool smoke) {
   svc::NetTokenBucket bucket(svc::make_counter(kind),
                              {.initial_tokens = 256 * threads});
-  std::vector<cnet::util::Padded<std::uint64_t>> since_refill(threads);
-  const auto result =
-      bench::run_loadgen(loadgen_config(threads, smoke), [&](std::size_t t) {
-        if (++since_refill[t].value == 256) {
-          since_refill[t].value = 0;
-          bucket.refill(t, 256);
-        }
-        return bucket.consume(t, 1, svc::kPartialOk);
-      });
-  return result.ops_per_sec;
+  return live_rate(threads, smoke, [&](std::size_t c) {
+    return [&bucket, c, since_refill = 0u]() mutable {
+      if (++since_refill == 256) {
+        since_refill = 0;
+        bucket.refill(c, 256);
+      }
+      return bucket.consume(c, 1, svc::kPartialOk) == 1;
+    };
+  });
 }
 
 double admission_rate(svc::BackendKind kind, std::size_t threads,
@@ -87,16 +89,15 @@ double admission_rate(svc::BackendKind kind, std::size_t threads,
   // the gate stays open by construction however fast the backend is.
   cfg.bucket.initial_tokens = 256 * threads;
   svc::AdmissionController ctl(cfg);
-  std::vector<cnet::util::Padded<std::uint64_t>> since_refill(threads);
-  const auto result =
-      bench::run_loadgen(loadgen_config(threads, smoke), [&](std::size_t t) {
-        if (++since_refill[t].value == 256) {
-          since_refill[t].value = 0;
-          ctl.refill(t, 256);
-        }
-        return std::uint64_t{ctl.admit(t, 1).admitted ? 1u : 0u};
-      });
-  return result.ops_per_sec;
+  return live_rate(threads, smoke, [&](std::size_t c) {
+    return [&ctl, c, since_refill = 0u]() mutable {
+      if (++since_refill == 256) {
+        since_refill = 0;
+        ctl.refill(c, 256);
+      }
+      return ctl.admit(c, 1).admitted;
+    };
+  });
 }
 
 }  // namespace
@@ -109,7 +110,8 @@ int main(int argc, char** argv) {
   const std::size_t alloc_threads = opts.smoke ? 2 : 8;
 
   bench::section("Table A: ShardedIdAllocator IDs/sec, " +
-                 std::to_string(alloc_threads) + " threads");
+                 std::to_string(alloc_threads) + " threads" +
+                 bench::co_sched_flag(alloc_threads));
   {
     std::vector<std::string> header{"backend"};
     for (const auto s : shard_sweep) {
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
   {
     std::vector<std::string> header{"backend"};
     for (const auto t : thread_sweep) {
-      header.push_back(std::to_string(t) + " thr");
+      header.push_back(std::to_string(t) + " thr" + bench::co_sched_flag(t));
     }
     util::Table table(header);
     for (const auto kind : svc::kAllBackendKinds) {
@@ -173,7 +175,8 @@ int main(int argc, char** argv) {
   bench::section("Table C: AdmissionController admit()/sec, 4 shards");
   {
     const std::size_t threads = opts.smoke ? 2 : 8;
-    util::Table table({"backend", std::to_string(threads) + " thr"});
+    util::Table table({"backend", std::to_string(threads) + " thr" +
+                                      bench::co_sched_flag(threads)});
     for (const auto kind : svc::kAllBackendKinds) {
       table.add_row({svc::backend_kind_name(kind),
                      bench::fmt_rate(admission_rate(kind, threads,
@@ -183,6 +186,7 @@ int main(int argc, char** argv) {
     bench::note(
         "\nexpected shape: admit = bucket charge + cached ID allocation,\n"
         "so rates track Table B with a small constant overhead.", opts);
+    bench::note_co_scheduled(thread_sweep.back(), opts);
   }
   return bench::finish(opts);
 }

@@ -184,19 +184,13 @@ int main(int argc, char** argv) {
 
   // Determinism: the whole point of answering Table B in virtual time is
   // that the numbers reproduce anywhere — re-run one cell and compare
-  // every field that reaches the tables.
+  // the whole result.
   {
     const svc::BackendSpec adaptive{svc::BackendKind::kAdaptive, false};
     const auto& first = result_for(adaptive, max_cores);
     const auto again = sim::simulate_multicore(
         adaptive, base_config(max_cores, opts.smoke));
-    const bool identical = first.ops_per_vtime == again.ops_per_vtime &&
-                           first.makespan == again.makespan &&
-                           first.consumed == again.consumed &&
-                           first.stall_events == again.stall_events &&
-                           first.switch_time == again.switch_time &&
-                           first.ops_at_switch == again.ops_at_switch;
-    bench::check("svc_sim_determinism", identical, opts);
+    bench::check("svc_sim_determinism", first == again, opts);
   }
 
   return bench::finish(opts);

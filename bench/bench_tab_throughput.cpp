@@ -1,9 +1,11 @@
 // Experimental analysis (paper §1.3.1's reference to [19,20]): sustained
 // Fetch&Increment throughput of every counter implementation under real
-// threads via the unified LoadGen harness, plus the batched-token runtime
-// (BatchedNetworkCounter::fetch_increment_batch) against the per-token
-// baseline — the batching lever that cuts per-value atomic traffic by up
-// to k×.
+// threads on the shared live harness (bench/support/live.hpp: pinned
+// callers, seeded-gap latency samples, median-of-windows rates), plus the
+// batched-token runtime (BatchedNetworkCounter::fetch_increment_batch)
+// against the per-token baseline — the batching lever that cuts per-value
+// atomic traffic by up to k×. Thread counts the affinity mask cannot give
+// one CPU each run co-scheduled, and their columns say so.
 //
 // NOTE: the paper's cited experiments ran on 10 UltraSparc workstations;
 // this harness runs wherever you build it. On a few-core host the
@@ -13,6 +15,9 @@
 // adversarial simulation, which is the measure the theorems speak about.
 // Batching wins regardless of core count because it removes atomic RMWs
 // per token outright.
+//
+// --smoke shrinks the windows (every thread count, the n=8 check
+// included, still runs); numbers from a smoke run are meaningless.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -25,7 +30,7 @@
 #include "cnet/runtime/difftree_rt.hpp"
 #include "cnet/runtime/network_counter.hpp"
 #include "cnet/util/table.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 #include "support/report.hpp"
 
 namespace {
@@ -34,34 +39,47 @@ using namespace cnet;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-bench::LoadGenConfig config_for(std::size_t threads) {
-  bench::LoadGenConfig cfg;
-  cfg.threads = threads;
-  cfg.warmup_seconds = 0.1;
-  cfg.measure_seconds = 0.3;
-  return cfg;
+perfbench::PhasePlan plan_for(bool smoke) {
+  return smoke ? perfbench::PhasePlan{0.01, 0.05, 10, 1u << 12}
+               : perfbench::PhasePlan{0.1, 0.3, 10, 1u << 16};
 }
 
-// Per-token load: one fetch_increment per op-call.
-bench::LoadGenResult hammer(rt::Counter& counter, std::size_t threads) {
-  return bench::run_loadgen(config_for(threads), [&](std::size_t t) {
-    volatile std::int64_t sink = counter.fetch_increment(t);
-    (void)sink;
-    return std::uint64_t{1};
+// Per-token load: one fetch_increment per call.
+bench::LiveRun hammer(rt::Counter& counter, std::size_t threads,
+                      const perfbench::PhasePlan& plan) {
+  return bench::run_live(threads, plan, 1, [&](std::size_t c) {
+    return [&counter, c] {
+      volatile std::int64_t sink = counter.fetch_increment(c);
+      (void)sink;
+      return true;
+    };
   });
 }
 
-// Batched load: one fetch_increment_batch(k) per op-call, counted as k ops.
-bench::LoadGenResult hammer_batch(rt::Counter& counter, std::size_t threads,
-                                  std::size_t k) {
-  std::vector<std::vector<std::int64_t>> buffers(
-      threads, std::vector<std::int64_t>(k));
-  return bench::run_loadgen(config_for(threads), [&, k](std::size_t t) {
-    counter.fetch_increment_batch(t, k, buffers[t].data());
-    volatile std::int64_t sink = buffers[t][k - 1];
-    (void)sink;
-    return static_cast<std::uint64_t>(k);
+// Batched load: one fetch_increment_batch(k) per call; the caller scales
+// the call rate by k to count tokens.
+bench::LiveRun hammer_batch(rt::Counter& counter, std::size_t threads,
+                            std::size_t k, const perfbench::PhasePlan& plan) {
+  return bench::run_live(threads, plan, 1, [&](std::size_t c) {
+    return [&counter, c, k, buffer = std::vector<std::int64_t>(k)]() mutable {
+      counter.fetch_increment_batch(c, k, buffer.data());
+      volatile std::int64_t sink = buffer[k - 1];
+      (void)sink;
+      return true;
+    };
   });
+}
+
+// {first, "n=1", ..., "n=8", rest...}; a thread column the host cannot
+// give one CPU per caller is flagged.
+std::vector<std::string> columns(const std::string& first,
+                                 std::initializer_list<std::string> rest) {
+  std::vector<std::string> headers{first};
+  for (const std::size_t n : kThreadCounts) {
+    headers.push_back("n=" + std::to_string(n) + bench::co_sched_flag(n));
+  }
+  headers.insert(headers.end(), rest);
+  return headers;
 }
 
 }  // namespace
@@ -99,16 +117,16 @@ int main(int argc, char** argv) {
         {"difftree(8)", std::make_unique<rt::DiffractingTreeCounter>(cfg)});
   }
 
+  const perfbench::PhasePlan plan = plan_for(opts.smoke);
   bench::section("Fetch&Increment throughput vs threads (per-token)");
   {
-    util::Table table({"backend", "n=1", "n=2", "n=4", "n=8", "p50", "p99",
-                       "stalls"});
+    util::Table table(columns("backend", {"p50", "p99", "stalls"}));
     for (auto& backend : backends) {
       std::vector<std::string> row = {backend.label};
-      bench::LoadGenResult last;
+      bench::LiveRun last;
       for (const std::size_t n : kThreadCounts) {
-        last = hammer(*backend.counter, n);
-        row.push_back(bench::fmt_rate(last.ops_per_sec));
+        last = hammer(*backend.counter, n, plan);
+        row.push_back(bench::fmt_rate(last.ops_per_s()));
       }
       row.push_back(bench::fmt_ns(last.p50_ns));
       row.push_back(bench::fmt_ns(last.p99_ns));
@@ -118,10 +136,14 @@ int main(int argc, char** argv) {
     }
     bench::emit(table, opts);
     bench::note(
-        "\nrates are tokens/sec over a 0.3s measured phase after 0.1s\n"
-        "warmup; p50/p99 are per-op latencies at n=8; stalls are CAS\n"
-        "retries accumulated across the whole run (cas backends only).",
+        "\nrates are tokens/sec, the median of 10 windows over a " +
+            util::fmt_double(plan.measure_s, 2) + "s measured\nphase after " +
+            util::fmt_double(plan.warmup_s, 2) +
+            "s warmup; p50/p99 are per-op latencies at n=8; stalls are\n"
+            "CAS retries accumulated across the whole run (cas backends "
+            "only).",
         opts);
+    bench::note_co_scheduled(kThreadCounts[3], opts);
   }
 
   // The tentpole comparison: the same C(w, w·lgw) network traversed
@@ -132,19 +154,16 @@ int main(int argc, char** argv) {
   double per_token_at8 = 0.0, batched_at8 = 0.0;
   {
     const auto net = core::make_counting(8, 24);
-    util::Table table({"mode", "n=1", "n=2", "n=4", "n=8", "p50(call)",
-                       "vs per-token @n=8"});
-    std::vector<double> per_token_rates;
+    util::Table table(columns("mode", {"p50(call)", "vs per-token @n=8"}));
     {
       rt::NetworkCounter counter(net, "C(8,24)");
       std::vector<std::string> row = {"per-token"};
-      bench::LoadGenResult last;
+      bench::LiveRun last;
       for (const std::size_t n : kThreadCounts) {
-        last = hammer(counter, n);
-        per_token_rates.push_back(last.ops_per_sec);
-        row.push_back(bench::fmt_rate(last.ops_per_sec));
+        last = hammer(counter, n, plan);
+        row.push_back(bench::fmt_rate(last.ops_per_s()));
       }
-      per_token_at8 = per_token_rates.back();
+      per_token_at8 = last.ops_per_s();
       row.push_back(bench::fmt_ns(last.p50_ns));
       row.push_back("1.00x");
       table.add_row(row);
@@ -152,15 +171,16 @@ int main(int argc, char** argv) {
     for (const std::size_t k : {8u, 64u}) {
       rt::BatchedNetworkCounter counter(net, "batched C(8,24)");
       std::vector<std::string> row = {"batch k=" + std::to_string(k)};
-      bench::LoadGenResult last;
+      bench::LiveRun last;
+      double tokens_per_s = 0.0;
       for (const std::size_t n : kThreadCounts) {
-        last = hammer_batch(counter, n, k);
-        row.push_back(bench::fmt_rate(last.ops_per_sec));
+        last = hammer_batch(counter, n, k, plan);
+        tokens_per_s = last.ops_per_s() * static_cast<double>(k);
+        row.push_back(bench::fmt_rate(tokens_per_s));
       }
-      if (k == 64) batched_at8 = last.ops_per_sec;
+      if (k == 64) batched_at8 = tokens_per_s;
       row.push_back(bench::fmt_ns(last.p50_ns));
-      row.push_back(util::fmt_double(last.ops_per_sec / per_token_at8, 2) +
-                    "x");
+      row.push_back(util::fmt_double(tokens_per_s / per_token_at8, 2) + "x");
       table.add_row(row);
     }
     bench::emit(table, opts);

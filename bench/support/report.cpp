@@ -171,6 +171,33 @@ void check(const std::string& name, bool passed, const ReportOptions&) {
   }
 }
 
+std::string fmt_rate(double ops_per_sec) {
+  char buf[32];
+  if (ops_per_sec >= 1e9) {
+    std::snprintf(buf, sizeof buf, "%.2fG/s", ops_per_sec / 1e9);
+  } else if (ops_per_sec >= 1e6) {
+    std::snprintf(buf, sizeof buf, "%.2fM/s", ops_per_sec / 1e6);
+  } else if (ops_per_sec >= 1e3) {
+    std::snprintf(buf, sizeof buf, "%.1fk/s", ops_per_sec / 1e3);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.0f/s", ops_per_sec);
+  }
+  return buf;
+}
+
+std::string fmt_ns(std::optional<double> ns) {
+  if (!ns) return "-";
+  char buf[32];
+  if (*ns >= 1e6) {
+    std::snprintf(buf, sizeof buf, "%.2fms", *ns / 1e6);
+  } else if (*ns >= 1e3) {
+    std::snprintf(buf, sizeof buf, "%.2fus", *ns / 1e3);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.0fns", *ns);
+  }
+  return buf;
+}
+
 void reset_for_testing() { json_state() = JsonState{}; }
 
 int finish(const ReportOptions& opts) {

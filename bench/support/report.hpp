@@ -7,6 +7,7 @@
 #pragma once
 
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "cnet/util/table.hpp"
@@ -18,9 +19,9 @@ namespace cnet::bench {
 // drivers take no other flags).
 struct ReportOptions {
   bool csv = false;
-  // CI bit-rot guard: drivers with timed LoadGen phases shrink to tiny
-  // iteration counts and thread sweeps (numbers become meaningless, but
-  // every code path still runs); table-only drivers ignore it.
+  // CI bit-rot guard: benches with timed live phases shrink to tiny
+  // windows and thread sweeps (numbers become meaningless, but every code
+  // path still runs); table-only benches ignore it.
   bool smoke = false;
   // When non-empty, finish() writes a JSON report of every table emitted
   // and every check recorded to this path.
@@ -66,6 +67,11 @@ void check(const std::string& name, bool passed, const ReportOptions& opts);
 // checks). Bench drivers never need this — it exists so test_report_json
 // can run several independent report lifecycles in one process.
 void reset_for_testing();
+
+// "12.3M/s"-style rate for table cells.
+std::string fmt_rate(double ops_per_sec);
+// "1.2us"-style duration for table cells; "-" for nullopt.
+std::string fmt_ns(std::optional<double> ns);
 
 // Writes the JSON report when --json was given and returns the driver's
 // exit code: 0 when every recorded check passed, 1 otherwise. Call as the

@@ -1,9 +1,11 @@
 // Contention laboratory: run the paper's §6 stall-counting experiment on
 // any network family with any scheduler from the command line, print the
 // per-layer/per-block breakdown, then hammer the same network with real
-// threads through the LoadGen harness (CAS-retry discipline) so the
-// simulated stall census can be compared with hardware-observed stalls —
-// the interactive version of bench_tab_contention / bench_fig_blocks.
+// threads on the shared live harness (bench/support/live.hpp: pinned
+// callers, co-scheduled and flagged when the host has too few CPUs;
+// CAS-retry discipline) so the simulated stall census can be compared
+// with hardware-observed stalls — the interactive version of
+// bench_tab_contention / bench_fig_blocks.
 //
 // Usage: ./examples/contention_lab <family> <w> [t] [n] [scheduler]
 //   family:    counting | bitonic | periodic | difftree | ablated
@@ -26,7 +28,7 @@
 #include "cnet/runtime/network_counter.hpp"
 #include "cnet/sim/contention.hpp"
 #include "cnet/util/bitops.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 
 int main(int argc, char** argv) {
   if (argc < 3) {
@@ -105,36 +107,32 @@ int main(int argc, char** argv) {
     const std::size_t threads = std::clamp<std::size_t>(n, 1, 16);
     cnet::rt::NetworkCounter counter(*net, family,
                                      cnet::rt::BalancerMode::kCasRetry);
-    cnet::bench::LoadGenConfig cfg;
-    cfg.threads = threads;
-    cfg.warmup_seconds = 0.1;
-    cfg.measure_seconds = 0.5;
-    // stall_count() accumulates over the counter's lifetime; snapshot it
-    // when the measured phase opens so stalls/token uses the same window
-    // as the token denominator.
-    std::uint64_t stall_baseline = 0;
-    cfg.on_measure_begin = [&] { stall_baseline = counter.stall_count(); };
-    const auto result = cnet::bench::run_loadgen(cfg, [&](std::size_t t) {
-      volatile std::int64_t sink = counter.fetch_increment(t);
-      (void)sink;
-      return std::uint64_t{1};
-    });
-    std::printf("\nhardware (cas-retry, %zu threads, %.1fs):\n", threads,
-                result.seconds);
+    const perfbench::PhasePlan plan{0.1, 0.5, 10, 1u << 16};
+    // No floor: stall_count() covers the counter's whole life, so the
+    // token count it is divided by is every call, warmup included.
+    const auto run =
+        cnet::bench::run_live(threads, plan, 0, [&](std::size_t c) {
+          return [&counter, c] {
+            volatile std::int64_t sink = counter.fetch_increment(c);
+            (void)sink;
+            return true;
+          };
+        });
+    std::printf("\nhardware (cas-retry, %zu threads%s, %.1fs):\n", threads,
+                cnet::bench::co_sched_flag(threads).c_str(), plan.measure_s);
     std::printf("  throughput  : %s\n",
-                cnet::bench::fmt_rate(result.ops_per_sec).c_str());
-    if (result.has_latency) {
-      std::printf("  latency     : p50 %s  p99 %s\n",
-                  cnet::bench::fmt_ns(result.p50_ns).c_str(),
-                  cnet::bench::fmt_ns(result.p99_ns).c_str());
-    }
-    const std::uint64_t stalls = counter.stall_count() - stall_baseline;
+                cnet::bench::fmt_rate(run.ops_per_s()).c_str());
+    std::printf("  latency     : p50 %s  p99 %s\n",
+                cnet::bench::fmt_ns(run.p50_ns).c_str(),
+                cnet::bench::fmt_ns(run.p99_ns).c_str());
+    const std::uint64_t stalls = counter.stall_count();
+    const std::uint64_t tokens = run.phase.ops;
     std::printf("  stalls/token: %.3f (%llu stalls / %llu tokens)\n",
-                result.total_ops ? static_cast<double>(stalls) /
-                                       static_cast<double>(result.total_ops)
-                                 : 0.0,
+                tokens ? static_cast<double>(stalls) /
+                             static_cast<double>(tokens)
+                       : 0.0,
                 static_cast<unsigned long long>(stalls),
-                static_cast<unsigned long long>(result.total_ops));
+                static_cast<unsigned long long>(tokens));
   }
   return 0;
 }

@@ -1,8 +1,10 @@
 // Ticket/ID dispenser with a pluggable counter backend — a miniature
 // version of the experimental comparison in the paper's cited study
 // [Klein'03 / Klein-Busch-Musser'06]: pick a backend, measure sustained
-// Fetch&Increment throughput under a chosen thread count via the unified
-// LoadGen harness (warmup + timed phase, latency percentiles).
+// Fetch&Increment throughput under a chosen thread count on the shared
+// live harness (bench/support/live.hpp: pinned callers, warmup + timed
+// windows, seeded-gap latency percentiles; callers share CPUs round robin,
+// flagged, when the host has fewer than threads + 1).
 //
 // Usage: ./examples/id_service [backend] [threads] [batch]
 //   backend: central | cas | mutex | bitonic | periodic | cww | cwt |
@@ -24,7 +26,7 @@
 #include "cnet/runtime/difftree_rt.hpp"
 #include "cnet/runtime/network_counter.hpp"
 #include "cnet/util/cacheline.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 
 namespace {
 
@@ -81,10 +83,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  cnet::bench::LoadGenConfig cfg;
-  cfg.threads = threads;
-  cfg.warmup_seconds = 0.2;
-  cfg.measure_seconds = 1.0;
+  const perfbench::PhasePlan plan{0.2, 1.0, 10, 1u << 16};
 
   // Per-thread tally over every call (warmup included): claimed-ticket
   // count and the largest ticket seen, for the uniqueness check below.
@@ -95,36 +94,35 @@ int main(int argc, char** argv) {
   };
   std::vector<Tally> tallies(threads);
   for (auto& tally : tallies) tally.values.resize(batch);
-  const auto result =
-      cnet::bench::run_loadgen(cfg, [&](std::size_t t) {
-        Tally& tally = tallies[t];
-        counter->fetch_increment_batch(t, batch, tally.values.data());
-        tally.claimed += batch;
-        for (const auto v : tally.values) {
-          tally.max_seen = std::max(tally.max_seen, v);
-        }
-        return static_cast<std::uint64_t>(batch);
-      });
+  const auto run = cnet::bench::run_live(threads, plan, 1, [&](std::size_t c) {
+    return [&counter, &tally = tallies[c], c, batch] {
+      counter->fetch_increment_batch(c, batch, tally.values.data());
+      tally.claimed += batch;
+      for (const auto v : tally.values) {
+        tally.max_seen = std::max(tally.max_seen, v);
+      }
+      return true;
+    };
+  });
 
   std::printf("backend      : %s\n", counter->name().c_str());
-  std::printf("threads      : %zu\n", result.threads);
+  std::printf("threads      : %zu%s\n", threads,
+              cnet::bench::co_sched_flag(threads).c_str());
   std::printf("batch        : %zu token(s)/call\n", batch);
-  std::printf("measured     : %.3f s (after %.1fs warmup)\n", result.seconds,
-              cfg.warmup_seconds);
-  std::printf("tickets      : %llu\n",
-              static_cast<unsigned long long>(result.total_ops));
-  std::printf("throughput   : %s (%.0f tickets/s)\n",
-              cnet::bench::fmt_rate(result.ops_per_sec).c_str(),
-              result.ops_per_sec);
-  if (result.has_latency) {
-    std::printf("latency/call : p50 %s   p99 %s   max %s\n",
-                cnet::bench::fmt_ns(result.p50_ns).c_str(),
-                cnet::bench::fmt_ns(result.p99_ns).c_str(),
-                cnet::bench::fmt_ns(result.max_ns).c_str());
-  }
-  std::printf("fairness     : %llu..%llu tickets/thread\n",
-              static_cast<unsigned long long>(result.min_thread_ops),
-              static_cast<unsigned long long>(result.max_thread_ops));
+  std::printf("measured     : %.1f s in 10 windows (after %.1fs warmup)\n",
+              plan.measure_s, plan.warmup_s);
+  const double tickets_per_s = run.ops_per_s() * static_cast<double>(batch);
+  std::printf("throughput   : %s (%.0f tickets/s, median window)\n",
+              cnet::bench::fmt_rate(tickets_per_s).c_str(), tickets_per_s);
+  std::printf("latency/call : p50 %s   p99 %s\n",
+              cnet::bench::fmt_ns(run.p50_ns).c_str(),
+              cnet::bench::fmt_ns(run.p99_ns).c_str());
+  const auto [fewest, most] = std::minmax_element(
+      tallies.begin(), tallies.end(),
+      [](const Tally& a, const Tally& b) { return a.claimed < b.claimed; });
+  std::printf("fairness     : %llu..%llu tickets/thread (warmup included)\n",
+              static_cast<unsigned long long>(fewest->claimed),
+              static_cast<unsigned long long>(most->claimed));
   std::printf("observed stalls: %llu\n",
               static_cast<unsigned long long>(counter->stall_count()));
 

@@ -4,7 +4,9 @@
 // the hot tenant does, it can never hold more parent tokens than its
 // weighted borrow cap — so the cold tenants' in-cap borrows keep
 // succeeding, which is the whole point of hierarchical quotas over one
-// shared pool.
+// shared pool. The threads run on the shared live harness
+// (bench/support/live.hpp), pinned, or co-scheduled and flagged when the
+// host has fewer CPUs than threads + 1.
 //
 // Usage: ./examples/multi_tenant_gate [parent-backend] [tenants] [hot-extra]
 //   parent-backend: central-atomic | central-cas | central-mutex | network |
@@ -20,7 +22,7 @@
 
 #include "cnet/svc/quota.hpp"
 #include "cnet/util/cacheline.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 
 int main(int argc, char** argv) {
   const char* backend_name = argc > 1 ? argv[1] : "batched-network";
@@ -72,30 +74,26 @@ int main(int argc, char** argv) {
     return t <= hot_extra ? std::size_t{0} : t - hot_extra;
   };
 
-  cnet::bench::LoadGenConfig lg;
-  lg.threads = threads;
-  lg.warmup_seconds = 0.2;
-  lg.measure_seconds = 1.0;
-  lg.latency_sample_every = 0;
-  const auto result = cnet::bench::run_loadgen(lg, [&](std::size_t t) {
-    Tally& tally = tallies[t];
-    const std::size_t tenant = tenant_of(t);
-    auto& held = tally.ring[tally.slot];
-    tally.slot = (tally.slot + 1) % kRing;
-    if (held.admitted) {
-      gate.release(t, held);
-      held = {};
-    }
-    const auto grant = gate.acquire(t, tenant, 1);
-    ++tally.attempts;
-    if (grant.admitted) {
-      ++tally.admitted;
-      held = grant;
-    }
-    const std::uint64_t borrowed = gate.borrowed(tenant);
-    tally.peak_borrowed = std::max(tally.peak_borrowed, borrowed);
-    if (borrowed > gate.borrow_limit(tenant)) tally.cap_violated = true;
-    return std::uint64_t{1};
+  const perfbench::PhasePlan plan{0.2, 1.0, 10, 0};
+  const auto run = cnet::bench::run_live(threads, plan, 1, [&](std::size_t t) {
+    return [&gate, &tally = tallies[t], t, tenant = tenant_of(t)] {
+      auto& held = tally.ring[tally.slot];
+      tally.slot = (tally.slot + 1) % kRing;
+      if (held.admitted) {
+        gate.release(t, held);
+        held = {};
+      }
+      const auto grant = gate.acquire(t, tenant, 1);
+      ++tally.attempts;
+      if (grant.admitted) {
+        ++tally.admitted;
+        held = grant;
+      }
+      const std::uint64_t borrowed = gate.borrowed(tenant);
+      tally.peak_borrowed = std::max(tally.peak_borrowed, borrowed);
+      if (borrowed > gate.borrow_limit(tenant)) tally.cap_violated = true;
+      return true;
+    };
   });
 
   // Quiescent teardown: hand every held grant back, then aggregate.
@@ -120,9 +118,9 @@ int main(int argc, char** argv) {
   std::printf("parent    : %llu tokens, borrow budget %llu\n",
               static_cast<unsigned long long>(cfg.parent_initial_tokens),
               static_cast<unsigned long long>(cfg.borrow_budget));
-  std::printf("offered   : %s over %.2fs\n\n",
-              cnet::bench::fmt_rate(result.ops_per_sec).c_str(),
-              result.seconds);
+  std::printf("offered   : %s over %.2fs, %zu threads%s\n\n",
+              cnet::bench::fmt_rate(run.ops_per_s()).c_str(), plan.measure_s,
+              threads, cnet::bench::co_sched_flag(threads).c_str());
   std::printf("  tenant  weight  cap  peak-borrow  attempts  admit%%\n");
   const std::size_t shown = std::min<std::size_t>(tenants, 8);
   for (std::size_t i = 0; i < shown; ++i) {

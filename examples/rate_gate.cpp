@@ -4,7 +4,9 @@
 // the admitted rate is pinned at ~R and every admitted request carries a
 // globally-unique ID from the sharded allocator. A miniature of the
 // queueing-style serving scenario the ROADMAP aims at: arrival rate set by
-// the refiller, service capacity set by the bucket.
+// the refiller, service capacity set by the bucket. The threads run on the
+// shared live harness (bench/support/live.hpp), pinned, or co-scheduled
+// and flagged when the host has fewer CPUs than threads + 1.
 //
 // Usage: ./examples/rate_gate [backend] [threads] [rate]
 //   backend: central-atomic | central-cas | central-mutex | network |
@@ -23,7 +25,7 @@
 #include "cnet/svc/admission.hpp"
 #include "cnet/svc/elimination.hpp"
 #include "cnet/util/cacheline.hpp"
-#include "support/loadgen.hpp"
+#include "support/live.hpp"
 
 int main(int argc, char** argv) {
   const char* backend_name = argc > 1 ? argv[1] : "batched-network";
@@ -59,28 +61,30 @@ int main(int argc, char** argv) {
   };
   std::vector<Tally> tallies(threads);
 
-  cnet::bench::LoadGenConfig lg;
-  lg.threads = threads;
-  lg.warmup_seconds = 0.2;
-  lg.measure_seconds = 1.0;
-  lg.latency_sample_every = 0;
+  const perfbench::PhasePlan plan{0.2, 1.0, 10, 0};
 
-  // Thread 0 drips tokens at `rate`; everyone else is offered load.
-  const std::uint64_t chunk =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(rate / 200.0));
-  const auto chunk_period = std::chrono::duration<double>(chunk / rate);
-  const auto result = cnet::bench::run_loadgen(lg, [&](std::size_t t) {
-    Tally& tally = tallies[t];
-    if (t == 0) {
-      tally.refilled += chunk;
-      gate.refill(0, chunk);
-      std::this_thread::sleep_for(chunk_period);
-      return chunk;
-    }
-    ++tally.attempts;
-    const auto ticket = gate.admit(t, 1);
-    if (ticket.admitted) tally.ids.push_back(ticket.request_id);
-    return std::uint64_t{1};
+  // Thread 0 drips tokens at `rate`, about 200 times a second; everyone
+  // else is offered load. Each drip adds what the rate has owed since the
+  // start, so a late wakeup on a shared CPU delays tokens but never drops
+  // them.
+  const auto start = std::chrono::steady_clock::now();
+  cnet::bench::run_live(threads, plan, 1, [&](std::size_t t) {
+    return [&, &tally = tallies[t], t] {
+      if (t == 0) {
+        const auto owed =
+            static_cast<std::uint64_t>(rate * perfbench::seconds_since(start));
+        if (owed > tally.refilled) {
+          gate.refill(0, owed - tally.refilled);
+          tally.refilled = owed;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return true;
+      }
+      ++tally.attempts;
+      const auto ticket = gate.admit(t, 1);
+      if (ticket.admitted) tally.ids.push_back(ticket.request_id);
+      return ticket.admitted;
+    };
   });
 
   std::uint64_t attempts = 0, refilled = 0;
@@ -90,11 +94,11 @@ int main(int argc, char** argv) {
     refilled += tally.refilled;
     ids.insert(ids.end(), tally.ids.begin(), tally.ids.end());
   }
-  const double wall = lg.warmup_seconds + result.seconds;
+  const double wall = plan.warmup_s + plan.measure_s;
 
   std::printf("gate         : %s\n", gate.name().c_str());
-  std::printf("threads      : %zu (1 refiller + %zu consumers)\n", threads,
-              threads - 1);
+  std::printf("threads      : %zu (1 refiller + %zu consumers)%s\n", threads,
+              threads - 1, cnet::bench::co_sched_flag(threads).c_str());
   std::printf("token rate   : %.0f/s (refilled %llu over ~%.2fs)\n", rate,
               static_cast<unsigned long long>(refilled), wall);
   std::printf("offered      : %llu attempts (%s)\n",

@@ -58,9 +58,6 @@ struct Options {
   // schedule. 2 reaches most real concurrency bugs; raise it for tiny
   // state spaces to approach exhaustiveness.
   std::size_t preemption_bound = 2;
-  // Sleep-set pruning of equivalent interleavings. Only ever disabled for
-  // debugging the explorer itself; replay never uses sleep sets.
-  bool sleep_sets = true;
   // Stop exploring after this many executions (stats still reported).
   std::uint64_t max_executions = 1'000'000;
   // Soft per-execution step cap: past it the execution stops branching
@@ -108,8 +105,8 @@ class Explorer {
   // execution cap, or exhaustion of the (pruned) schedule space.
   Result explore(const Body& body);
 
-  // Re-executes exactly the interleaving `schedule` encodes (sleep sets
-  // off, no branching). A failure reproduces with the same message at the
+  // Re-executes exactly the interleaving `schedule` encodes (no branching,
+  // so nothing to prune). A failure reproduces with the same message at the
   // same step as the exploration that produced the string.
   Result replay(const std::string& schedule, const Body& body);
 

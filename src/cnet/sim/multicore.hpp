@@ -124,6 +124,8 @@ struct MulticoreResult {
   bool switched = false;
   double switch_time = -1.0;       // virtual time of the organic switch
   std::uint64_t ops_at_switch = 0; // ops completed when the window crossed
+
+  bool operator==(const MulticoreResult&) const = default;
 };
 
 // One-shot simulation of `spec` under `cfg`. Deterministic: the same spec,
@@ -194,6 +196,8 @@ struct QuotaSimResult {
   std::vector<std::uint64_t> admitted_per_tenant;
   std::vector<std::uint64_t> limit_per_tenant;
   std::vector<std::uint64_t> peak_borrowed_per_tenant;
+
+  bool operator==(const QuotaSimResult&) const = default;
 };
 
 // Deterministic from (parent_spec, cfg, cfg.base.seed), like
@@ -274,6 +278,8 @@ struct OverloadSimTransition {
   svc::OverloadTier from = svc::OverloadTier::kNominal;
   svc::OverloadTier to = svc::OverloadTier::kNominal;
   double pressure = 0.0;
+
+  bool operator==(const OverloadSimTransition&) const = default;
 };
 
 struct OverloadSimResult {
@@ -303,6 +309,8 @@ struct OverloadSimResult {
   bool hysteresis_respected = false;
   // Tier recovered to nominal and every shed tenant was restored.
   bool recovered = false;
+
+  bool operator==(const OverloadSimResult&) const = default;
 };
 
 // Deterministic from (parent_spec, cfg, cfg.quota.base.seed), like
@@ -370,6 +378,8 @@ struct ReconfigSimResult {
   // negative, and the retired pool is empty once the commit has fired —
   // tokens were in one pool or the other at every event, never both.
   bool conserved = false;
+
+  bool operator==(const ReconfigSimResult&) const = default;
 };
 
 // Deterministic from (spec_from, cfg, cfg.base.seed), like
@@ -499,6 +509,8 @@ struct ClusterSimResult {
   double p50_admission = 0.0;  // admission latency percentiles (admitted
   double p99_admission = 0.0;  // ops only), issue to completion
   std::uint64_t parent_stalls = 0;
+
+  bool operator==(const ClusterSimResult&) const = default;
 };
 
 // Deterministic from (parent_spec, cfg, cfg.base.seed), like the other

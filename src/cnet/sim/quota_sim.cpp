@@ -207,16 +207,14 @@ class QuotaFlow {
   // kShrinkBatch actuation: refunds return in chunks of
   // max(1, n / batch_divisor) — several short exclusive holds instead of
   // one bulk traversal. Divisor 1 (nominal) degenerates to a single call.
+  // n > 0: the plan puts only nonzero parts.
   void refund_chunked(CounterModel* model, std::size_t c, std::uint64_t n,
                       Done done) {
-    if (n == 0) {
-      eng.at(eng.now(), std::move(done));
-      return;
-    }
     const std::uint64_t k = std::min(
         n, std::max<std::uint64_t>(1, n / actions.batch_divisor));
     model->refund_n(c, k,
                     [this, model, c, n, k, done = std::move(done)]() mutable {
+                      if (k == n) return done();
                       refund_chunked(model, c, n - k, std::move(done));
                     });
   }

@@ -34,20 +34,7 @@ TEST(MulticoreSim, GoldenSeedDeterminism) {
     const auto a = simulate_multicore(spec, small_config(8));
     const auto b = simulate_multicore(spec, small_config(8));
     SCOPED_TRACE(svc::backend_spec_name(spec));
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.ops_per_vtime, b.ops_per_vtime);
-    EXPECT_EQ(a.consume_ops, b.consume_ops);
-    EXPECT_EQ(a.consumed, b.consumed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.refilled, b.refilled);
-    EXPECT_EQ(a.stall_events, b.stall_events);
-    EXPECT_EQ(a.final_pool, b.final_pool);
-    EXPECT_EQ(a.elim_pairs, b.elim_pairs);
-    EXPECT_EQ(a.elim_withdrawals, b.elim_withdrawals);
-    EXPECT_EQ(a.elim_value_sum, b.elim_value_sum);
-    EXPECT_EQ(a.switched, b.switched);
-    EXPECT_EQ(a.switch_time, b.switch_time);
-    EXPECT_EQ(a.ops_at_switch, b.ops_at_switch);
+    EXPECT_TRUE(a == b);
   }
 }
 
@@ -168,15 +155,7 @@ TEST(QuotaSim, GoldenSeedDeterminism) {
     const auto a = simulate_quota(spec, quota_config(16));
     const auto b = simulate_quota(spec, quota_config(16));
     SCOPED_TRACE(svc::backend_spec_name(spec));
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.goodput_per_vtime, b.goodput_per_vtime);
-    EXPECT_EQ(a.acquire_ops, b.acquire_ops);
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.parent_stalls, b.parent_stalls);
-    EXPECT_EQ(a.child_stalls, b.child_stalls);
-    EXPECT_EQ(a.admitted_per_tenant, b.admitted_per_tenant);
-    EXPECT_EQ(a.peak_borrowed_per_tenant, b.peak_borrowed_per_tenant);
+    EXPECT_TRUE(a == b);
   }
 }
 
@@ -310,18 +289,7 @@ TEST(OverloadSim, GoldenSeedDeterminism) {
     const auto a = simulate_overload(spec, overload_sim_reference_config());
     const auto b = simulate_overload(spec, overload_sim_reference_config());
     SCOPED_TRACE(svc::backend_spec_name(spec));
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.degraded_admits, b.degraded_admits);
-    EXPECT_EQ(a.shed_rejects_per_tenant, b.shed_rejects_per_tenant);
-    ASSERT_EQ(a.transitions.size(), b.transitions.size());
-    for (std::size_t i = 0; i < a.transitions.size(); ++i) {
-      EXPECT_EQ(a.transitions[i].time, b.transitions[i].time);
-      EXPECT_EQ(a.transitions[i].from, b.transitions[i].from);
-      EXPECT_EQ(a.transitions[i].to, b.transitions[i].to);
-      EXPECT_EQ(a.transitions[i].pressure, b.transitions[i].pressure);
-    }
+    EXPECT_TRUE(a == b);
   }
 }
 
@@ -352,17 +320,7 @@ TEST(ReconfigSim, GoldenSeedDeterminism) {
     const auto a = simulate_reconfig(spec, reconfig_config(spec));
     const auto b = simulate_reconfig(spec, reconfig_config(spec));
     SCOPED_TRACE(svc::backend_spec_name(spec));
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.consume_ops, b.consume_ops);
-    EXPECT_EQ(a.consumed, b.consumed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.refilled, b.refilled);
-    EXPECT_EQ(a.respec_staged_time, b.respec_staged_time);
-    EXPECT_EQ(a.respec_commit_time, b.respec_commit_time);
-    EXPECT_EQ(a.migrated_tokens, b.migrated_tokens);
-    EXPECT_EQ(a.old_stalls, b.old_stalls);
-    EXPECT_EQ(a.new_stalls, b.new_stalls);
-    EXPECT_EQ(a.final_pool, b.final_pool);
+    EXPECT_TRUE(a == b);
   }
 }
 
